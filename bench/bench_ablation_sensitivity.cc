@@ -169,8 +169,7 @@ int main() {
       StatusOr<core::PricePerformanceCurve> curve =
           core::PricePerformanceCurve::Build(mi_trace, filtered->candidates,
                                              compiled.pricing(), estimator,
-                                             nullptr, nullptr,
-                                             &compiled.target());
+                                             nullptr, &compiled.target());
       if (curve.ok()) {
         StatusOr<core::PricePerformancePoint> best =
             curve->CheapestFullySatisfying();

@@ -75,7 +75,7 @@ StatusOr<BacktestDataset> BuildBacktestDataset(
       DOPPLER_ASSIGN_OR_RETURN(
           curve, PricePerformanceCurve::Build(
                      customer.trace, filtered.candidates, compiled.pricing(),
-                     estimator, nullptr, nullptr, &compiled.target()));
+                     estimator, nullptr, &compiled.target()));
     }
 
     LabeledCustomer labeled;

@@ -50,10 +50,9 @@ struct ConfidenceResult {
 /// Object-identity guarantee: the original run invokes `recommend` with
 /// the caller's `trace` object itself; every bootstrap run passes a
 /// freshly materialised resample. Callers may therefore compare addresses
-/// to reuse per-trace memoized state (sorted series, argsort, exceedance
-/// bitsets) for the original run only — the pipeline's confidence stage
-/// does exactly that. Resamples must NOT share that state: their row
-/// order and multiset differ.
+/// to reuse per-trace memoized state (sorted series) for the original run
+/// only — the pipeline's confidence stage does exactly that. Resamples
+/// must NOT share that state: their row order and multiset differ.
 StatusOr<ConfidenceResult> ScoreConfidence(const telemetry::PerfTrace& trace,
                                            const RecommendFn& recommend,
                                            const ConfidenceOptions& options,

@@ -32,24 +32,10 @@ struct MiRequirements {
   bool gp_layout_ok = false;
 };
 
-// Fraction of samples where `values[i] <= limit`, by binary search on a
-// sorted series: the same integer count SatisfiedFraction produces over
-// the unsorted series, divided by the same n — bit-identical.
-double SatisfiedFractionSorted(const std::vector<double>& sorted,
-                               double limit) {
-  if (sorted.empty()) return 1.0;
-  const std::size_t satisfied = static_cast<std::size_t>(
-      std::upper_bound(sorted.begin(), sorted.end(), limit) - sorted.begin());
-  return static_cast<double>(satisfied) / static_cast<double>(sorted.size());
-}
-
 MiRequirements ComputeMiRequirements(const telemetry::PerfTrace& trace,
                                      const catalog::LayoutLimits& limits,
-                                     const MiFilterOptions& options,
-                                     const telemetry::TraceStatsCache* stats) {
+                                     const MiFilterOptions& options) {
   MiRequirements req;
-  // Only a cache over this exact trace object can stand in for its series.
-  if (stats != nullptr && &stats->trace() != &trace) stats = nullptr;
 
   // Storage requirement: the layout itself, or the observed allocated size
   // when the trace reports more.
@@ -73,16 +59,10 @@ MiRequirements ComputeMiRequirements(const telemetry::PerfTrace& trace,
     }
   }
 
-  // The IOPS bar reads a raw trace column, so the memoized sorted series
-  // answers it by binary search. The throughput proxy is derived per call
-  // (IOPS x IO size + log rate) and stays a linear scan.
   const double iops_ok =
       trace.Has(ResourceDim::kIops)
-          ? (stats != nullptr
-                 ? SatisfiedFractionSorted(stats->Sorted(ResourceDim::kIops),
-                                           limits.total_iops)
-                 : SatisfiedFraction(trace.Values(ResourceDim::kIops),
-                                     limits.total_iops))
+          ? SatisfiedFraction(trace.Values(ResourceDim::kIops),
+                              limits.total_iops)
           : 1.0;
   const double throughput_ok =
       SatisfiedFraction(throughput_mibps, limits.total_throughput_mibps);
@@ -126,8 +106,7 @@ void CountMiFilterOutcome(std::size_t num_candidates, bool restricted_to_bc) {
 
 StatusOr<MiCompiledFilterResult> FilterMiCandidates(
     const catalog::CompiledCatalog& compiled, const catalog::FileLayout& layout,
-    const telemetry::PerfTrace& trace, const MiFilterOptions& options,
-    const telemetry::TraceStatsCache* stats) {
+    const telemetry::PerfTrace& trace, const MiFilterOptions& options) {
   if (trace.num_samples() == 0) {
     return InvalidArgumentError("performance trace is empty");
   }
@@ -135,7 +114,7 @@ StatusOr<MiCompiledFilterResult> FilterMiCandidates(
   DOPPLER_ASSIGN_OR_RETURN(catalog::LayoutLimits limits,
                            compiled.LayoutLimitsFor(layout));
   const MiRequirements req =
-      ComputeMiRequirements(trace, limits, options, stats);
+      ComputeMiRequirements(trace, limits, options);
 
   MiCompiledFilterResult result;
   result.layout_limits = limits;

@@ -8,7 +8,6 @@
 #include "catalog/file_layout.h"
 #include "core/price_performance.h"
 #include "telemetry/perf_trace.h"
-#include "telemetry/trace_stats.h"
 #include "util/statusor.h"
 
 namespace doppler::core {
@@ -54,14 +53,10 @@ struct MiCompiledFilterResult {
 ///     (whose local-SSD limits come from the SKU record instead).
 ///  3. GP candidates carry the layout IOPS sum as their effective limit.
 /// Fails when the catalog has no MI SKUs or the layout is unplaceable.
-/// A non-null `stats` cache over this trace resolves the IOPS satisfaction
-/// fraction by binary search on the memoized sorted series (an identical
-/// integer count, so the keep/drop decisions cannot change).
 StatusOr<MiCompiledFilterResult> FilterMiCandidates(
     const catalog::CompiledCatalog& compiled,
     const catalog::FileLayout& layout, const telemetry::PerfTrace& trace,
-    const MiFilterOptions& options = {},
-    const telemetry::TraceStatsCache* stats = nullptr);
+    const MiFilterOptions& options = {});
 
 }  // namespace doppler::core
 

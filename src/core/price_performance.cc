@@ -44,8 +44,7 @@ struct PricePerformanceCurve::CompiledSpan {
 StatusOr<PricePerformanceCurve> PricePerformanceCurve::BuildCompiled(
     const telemetry::PerfTrace& trace, const CompiledSpan& span,
     const catalog::PricingService& pricing,
-    const ThrottlingEstimator& estimator, exec::ThreadPool* executor,
-    const telemetry::TraceStatsCache* stats) {
+    const ThrottlingEstimator& estimator, exec::ThreadPool* executor) {
   if (span.count == 0) {
     return InvalidArgumentError("no candidate SKUs for curve building");
   }
@@ -72,21 +71,38 @@ StatusOr<PricePerformanceCurve> PricePerformanceCurve::BuildCompiled(
   const catalog::RepriceForTraceFn reprice =
       span.target != nullptr ? span.target->reprice_for_trace : nullptr;
 
-  // Batch scoring over the memoized capacity vectors (with the MI route's
-  // per-candidate IOPS overrides applied first); see the Candidate overload
-  // for the determinism rationale.
-  std::vector<catalog::ResourceVector> capacity_vectors;
-  capacity_vectors.reserve(span.count);
-  for (std::size_t i = 0; i < span.count; ++i) {
-    const catalog::CompiledEntry& entry = span.entry(i);
-    const double iops_limit = span.iops_limit(i);
-    capacity_vectors.push_back(
-        iops_limit >= 0.0 ? entry.sku->CapacitiesWithIopsLimit(iops_limit)
-                          : entry.capacities);
+  // One Eq. 1 evaluation per candidate, over the memoized capacity vector
+  // (with the MI route's per-candidate IOPS override applied first). Each
+  // candidate is scored into its own slot and the first failure in
+  // candidate order wins, matching a serial loop with early return. Chunk
+  // boundaries come from ParallelFor and depend only on the candidate count
+  // and pool size, so the curve is bit-identical at any thread count.
+  std::vector<double> probabilities(span.count, 0.0);
+  std::vector<Status> failures(span.count);
+  const auto score_range = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const catalog::CompiledEntry& entry = span.entry(i);
+      const double iops_limit = span.iops_limit(i);
+      StatusOr<double> probability =
+          iops_limit >= 0.0
+              ? estimator.Probability(
+                    trace, entry.sku->CapacitiesWithIopsLimit(iops_limit))
+              : estimator.Probability(trace, entry.capacities);
+      if (probability.ok()) {
+        probabilities[i] = *probability;
+      } else {
+        failures[i] = probability.status();
+      }
+    }
+  };
+  if (executor != nullptr && span.count > 1) {
+    executor->ParallelFor(span.count, score_range);
+  } else {
+    score_range(0, span.count);
   }
-  DOPPLER_ASSIGN_OR_RETURN(const std::vector<double> probabilities,
-                           estimator.EstimateCurveProbabilities(
-                               trace, capacity_vectors, executor, stats));
+  for (const Status& failure : failures) {
+    if (!failure.ok()) return failure;
+  }
 
   PricePerformanceCurve curve;
   std::vector<PricePerformancePoint>& points = curve.points_;
@@ -132,13 +148,12 @@ StatusOr<PricePerformanceCurve> PricePerformanceCurve::BuildCompiled(
 StatusOr<PricePerformanceCurve> PricePerformanceCurve::Build(
     const telemetry::PerfTrace& trace, catalog::CompiledView candidates,
     const catalog::PricingService& pricing,
-    const ThrottlingEstimator& estimator, exec::ThreadPool* executor,
-    const telemetry::TraceStatsCache* stats) {
+    const ThrottlingEstimator& estimator, exec::ThreadPool* executor) {
   CompiledSpan span;
   span.entries = candidates.begin();
   span.count = candidates.size();
   span.target = candidates.target();
-  return BuildCompiled(trace, span, pricing, estimator, executor, stats);
+  return BuildCompiled(trace, span, pricing, estimator, executor);
 }
 
 StatusOr<PricePerformanceCurve> PricePerformanceCurve::Build(
@@ -146,13 +161,12 @@ StatusOr<PricePerformanceCurve> PricePerformanceCurve::Build(
     const std::vector<CompiledCandidateRef>& candidates,
     const catalog::PricingService& pricing,
     const ThrottlingEstimator& estimator, exec::ThreadPool* executor,
-    const telemetry::TraceStatsCache* stats,
     const catalog::TargetSpec* target) {
   CompiledSpan span;
   span.refs = candidates.data();
   span.count = candidates.size();
   span.target = target;
-  return BuildCompiled(trace, span, pricing, estimator, executor, stats);
+  return BuildCompiled(trace, span, pricing, estimator, executor);
 }
 
 CurveShape PricePerformanceCurve::Classify(double epsilon) const {

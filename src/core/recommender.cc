@@ -71,7 +71,7 @@ StatusOr<Recommendation> ElasticRecommender::RecommendDb(
   DOPPLER_ASSIGN_OR_RETURN(
       PricePerformanceCurve curve,
       PricePerformanceCurve::Build(trace, candidates, compiled_->pricing(),
-                                   *estimator_, executor_, stats));
+                                   *estimator_, executor_));
   return SelectFromCurve(std::move(curve), trace, stats);
 }
 
@@ -80,12 +80,12 @@ StatusOr<Recommendation> ElasticRecommender::RecommendMi(
     const telemetry::TraceStatsCache* stats) const {
   DOPPLER_ASSIGN_OR_RETURN(
       MiCompiledFilterResult filtered,
-      FilterMiCandidates(*compiled_, layout, trace, {}, stats));
+      FilterMiCandidates(*compiled_, layout, trace));
   DOPPLER_ASSIGN_OR_RETURN(
       PricePerformanceCurve curve,
       PricePerformanceCurve::Build(trace, filtered.candidates,
                                    compiled_->pricing(), *estimator_,
-                                   executor_, stats, &compiled_->target()));
+                                   executor_, &compiled_->target()));
   DOPPLER_ASSIGN_OR_RETURN(Recommendation recommendation,
                            SelectFromCurve(std::move(curve), trace, stats));
   if (filtered.restricted_to_bc) {

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <functional>
 #include <numeric>
 #include <vector>
 
-#include "core/exceedance_index.h"
-#include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "stats/kde.h"
 #include "stats/normal.h"
@@ -27,9 +24,7 @@ using catalog::ResourceVector;
 // resolved once so each evaluation costs a relaxed atomic add.
 // `samples_scanned` must be the rows the evaluation ACTUALLY visited —
 // charged after the scan, so early exits report the truth, not the worst
-// case. Index-backed batch evaluations pass 0 here: their row visits are
-// charged at bitset-construction time (core/exceedance_index.cc), once per
-// distinct capacity instead of once per SKU.
+// case.
 void CountEvaluation(std::size_t samples_scanned) {
   static obs::Counter* const kEvaluations =
       obs::DefaultMetrics().GetCounter("ppm.throttling_evaluations");
@@ -55,64 +50,6 @@ StatusOr<std::vector<ResourceDim>> SharedDims(
   }
   return dims;
 }
-
-// Shared scoring skeleton for the batch API: every candidate's probability
-// is written to its own slot and the first failure in candidate order wins,
-// matching a serial loop with early return. Chunk boundaries come from
-// ParallelFor and depend only on the candidate count and pool size, so the
-// output is bit-identical at any thread count.
-StatusOr<std::vector<double>> ScoreCandidates(
-    std::size_t count, exec::ThreadPool* executor,
-    const std::function<StatusOr<double>(std::size_t)>& score_one) {
-  std::vector<double> probabilities(count, 0.0);
-  std::vector<Status> failures(count);
-  const auto score_range = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      StatusOr<double> probability = score_one(i);
-      if (probability.ok()) {
-        probabilities[i] = *probability;
-      } else {
-        failures[i] = probability.status();
-      }
-    }
-  };
-  if (executor != nullptr && count > 1) {
-    executor->ParallelFor(count, score_range);
-  } else {
-    score_range(0, count);
-  }
-  for (const Status& failure : failures) {
-    if (!failure.ok()) return failure;
-  }
-  return probabilities;
-}
-
-}  // namespace
-
-StatusOr<std::vector<double>> ThrottlingEstimator::EstimateCurveProbabilities(
-    const telemetry::PerfTrace& trace,
-    const std::vector<ResourceVector>& capacities, exec::ThreadPool* executor,
-    const telemetry::TraceStatsCache* stats) const {
-  (void)stats;  // The generic path has no per-trace state to share.
-  return ScoreCandidates(capacities.size(), executor,
-                         [&](std::size_t i) -> StatusOr<double> {
-                           return Probability(trace, capacities[i]);
-                         });
-}
-
-StatusOr<std::vector<double>> ThrottlingEstimator::EstimateCurveProbabilities(
-    const telemetry::PerfTrace& trace, catalog::CompiledView candidates,
-    exec::ThreadPool* executor,
-    const telemetry::TraceStatsCache* stats) const {
-  std::vector<ResourceVector> capacities;
-  capacities.reserve(candidates.size());
-  for (const catalog::CompiledEntry& entry : candidates) {
-    capacities.push_back(entry.capacities);
-  }
-  return EstimateCurveProbabilities(trace, capacities, executor, stats);
-}
-
-namespace {
 
 // Validates a moving-capacity query and returns the constant dimensions
 // that take part (shared between trace and capacities, minus the moving
@@ -151,9 +88,9 @@ StatusOr<double> ThrottlingEstimator::ProbabilityMoving(
   const std::vector<double>& moving_demand = trace.Values(moving.dim);
   const bool moving_inverted = catalog::IsInvertedDim(moving.dim);
 
-  // Definitional row-major scan (the oracle the index-backed override is
-  // pinned against): a row is throttled when the moving dimension exceeds
-  // its per-row limit or any constant dimension exceeds its fixed limit.
+  // Definitional row-major scan: a row is throttled when the moving
+  // dimension exceeds its per-row limit or any constant dimension exceeds
+  // its fixed limit.
   std::size_t throttled = 0;
   for (std::size_t t = 0; t < n; ++t) {
     bool any = moving_inverted ? moving_demand[t] < moving.capacity[t]
@@ -224,72 +161,6 @@ StatusOr<double> NonParametricEstimator::Probability(
   CountEvaluation(columns_scanned * n);
   TrimScratch(throttled_rows);
   return static_cast<double>(throttled) / static_cast<double>(n);
-}
-
-StatusOr<std::vector<double>>
-NonParametricEstimator::EstimateCurveProbabilities(
-    const telemetry::PerfTrace& trace,
-    const std::vector<ResourceVector>& capacities, exec::ThreadPool* executor,
-    const telemetry::TraceStatsCache* stats) const {
-  if (capacities.empty()) return std::vector<double>{};
-  if (trace.num_samples() == 0) {
-    return InvalidArgumentError("performance trace is empty");
-  }
-  // Index the union of candidate dimensions: one argsort per dimension any
-  // candidate prices, shared by every candidate that prices it.
-  std::array<bool, catalog::kNumResourceDims> wanted{};
-  for (const ResourceVector& candidate : capacities) {
-    for (ResourceDim dim : catalog::kAllResourceDims) {
-      if (candidate.Has(dim)) {
-        wanted[static_cast<std::size_t>(static_cast<int>(dim))] = true;
-      }
-    }
-  }
-  std::vector<ResourceDim> dims;
-  for (ResourceDim dim : catalog::kAllResourceDims) {
-    if (wanted[static_cast<std::size_t>(static_cast<int>(dim))] &&
-        trace.Has(dim)) {
-      dims.push_back(dim);
-    }
-  }
-  const ExceedanceIndex index(trace, dims, stats);
-  const double n = static_cast<double>(trace.num_samples());
-  return ScoreCandidates(
-      capacities.size(), executor, [&](std::size_t i) -> StatusOr<double> {
-        const ResourceVector& candidate = capacities[i];
-        // Same failure mode as Probability: a candidate sharing no
-        // dimension with the trace is an error, not a zero.
-        bool any_shared = false;
-        for (ResourceDim dim : catalog::kAllResourceDims) {
-          if (trace.Has(dim) && candidate.Has(dim)) {
-            any_shared = true;
-            break;
-          }
-        }
-        if (!any_shared) {
-          return InvalidArgumentError(
-              "no resource dimension shared between trace and capacities");
-        }
-        // Row visits were charged when the bitsets were built; the union
-        // itself re-reads no samples.
-        CountEvaluation(0);
-        return static_cast<double>(index.CountExceedingUnion(candidate)) / n;
-      });
-}
-
-StatusOr<double> NonParametricEstimator::ProbabilityMoving(
-    const telemetry::PerfTrace& trace, const catalog::ResourceVector& capacities,
-    const MovingCapacity& moving) const {
-  DOPPLER_ASSIGN_OR_RETURN(const std::vector<ResourceDim> const_dims,
-                           MovingConstantDims(trace, capacities, moving));
-  // Index the constant dimensions only; the moving dimension's set is
-  // built per call inside the union (its capacity series defeats the
-  // per-capacity memo). Row visits are charged there and at memo misses.
-  const ExceedanceIndex index(trace, const_dims);
-  CountEvaluation(0);
-  return static_cast<double>(index.CountExceedingUnionMoving(
-             capacities, moving.dim, moving.capacity)) /
-         static_cast<double>(trace.num_samples());
 }
 
 StatusOr<const stats::GaussianKde*> KdeEstimator::FittedKde(

@@ -6,18 +6,33 @@
 #include <optional>
 #include <vector>
 
-#include "catalog/compiled_catalog.h"
 #include "catalog/resource.h"
 #include "stats/kde.h"
 #include "telemetry/perf_trace.h"
 #include "telemetry/trace_stats.h"
 #include "util/statusor.h"
 
-namespace doppler::exec {
-class ThreadPool;
-}
-
 namespace doppler::core {
+
+/// Scratch-lifetime policy of the throttling scan (DESIGN.md §9): the
+/// per-thread mark buffer is reused across evaluations so the hot path
+/// never allocates after warm-up, but one oversized trace must not pin its
+/// high-water mark for the lifetime of the thread. After each use, a buffer
+/// whose capacity exceeds this bound is released back to the allocator.
+/// Steady-state DMA traces sit far below it (a 30-day trace is ~4.3k rows,
+/// ~4 KiB of scan marks), so the trim only ever fires after an outlier
+/// trace.
+inline constexpr std::size_t kScratchRetainBytes = std::size_t{1} << 20;
+
+/// Applies the policy above to one scratch vector: keep the buffer when its
+/// footprint is within kScratchRetainBytes, release it otherwise. Allocator-
+/// generic so cache-aligned scratch (util/aligned.h) gets the same policy.
+template <typename T, typename Alloc>
+void TrimScratch(std::vector<T, Alloc>& scratch) {
+  if (scratch.capacity() * sizeof(T) > kScratchRetainBytes) {
+    scratch = std::vector<T, Alloc>();
+  }
+}
 
 /// A per-row capacity series for ONE dimension: capacity[t] is the limit in
 /// force at the trace's t-th sample. This is how serverless autoscale enters
@@ -50,42 +65,15 @@ class ThrottlingEstimator {
       const telemetry::PerfTrace& trace,
       const catalog::ResourceVector& capacities) const = 0;
 
-  /// Batch counterpart for curve building: the throttling probability of
-  /// every capacity vector against ONE shared trace, in candidate order.
-  /// Fails with the error of the first (in candidate order) failing
-  /// candidate, matching a serial loop of Probability calls. With a
-  /// non-null `executor`, candidates are partitioned across the pool in
-  /// deterministic chunks; `stats` optionally shares memoized per-dimension
-  /// sorted state (ignored unless it caches this exact trace object).
-  ///
-  /// The base implementation simply loops Probability; estimators with
-  /// amortisable per-trace state override it (NonParametricEstimator builds
-  /// an ExceedanceIndex, DESIGN.md §9). Overrides must stay bit-identical
-  /// to the per-candidate loop — this is an evaluation-strategy hook, not a
-  /// semantics hook.
-  virtual StatusOr<std::vector<double>> EstimateCurveProbabilities(
-      const telemetry::PerfTrace& trace,
-      const std::vector<catalog::ResourceVector>& capacities,
-      exec::ThreadPool* executor = nullptr,
-      const telemetry::TraceStatsCache* stats = nullptr) const;
-
-  /// Convenience overload over a compiled deployment view (no IOPS
-  /// overrides): evaluates every entry's memoized capacity vector.
-  StatusOr<std::vector<double>> EstimateCurveProbabilities(
-      const telemetry::PerfTrace& trace, catalog::CompiledView candidates,
-      exec::ThreadPool* executor = nullptr,
-      const telemetry::TraceStatsCache* stats = nullptr) const;
-
   /// Paper Eq. 1 with ONE dimension's capacity a function of time (the
   /// serverless autoscale extension): P(any dimension exceeds its limit)
   /// where `moving.dim`'s limit at row t is `moving.capacity[t]` and every
   /// other dimension keeps its constant limit from `capacities` (a constant
-  /// entry for `moving.dim`, if present, is superseded by the series). The
-  /// base implementation is the definitional row-major scan; overrides must
-  /// stay bit-identical to it. Fails with INVALID_ARGUMENT when the series
-  /// length differs from the trace, the trace lacks `moving.dim`, the trace
-  /// is empty, or no dimension is shared.
-  virtual StatusOr<double> ProbabilityMoving(
+  /// entry for `moving.dim`, if present, is superseded by the series).
+  /// Evaluated by the definitional row-major scan, for every estimator.
+  /// Fails with INVALID_ARGUMENT when the series length differs from the
+  /// trace, the trace lacks `moving.dim`, or the trace is empty.
+  StatusOr<double> ProbabilityMoving(
       const telemetry::PerfTrace& trace,
       const catalog::ResourceVector& capacities,
       const MovingCapacity& moving) const;
@@ -102,35 +90,15 @@ class ThrottlingEstimator {
 /// Implemented as a columnar kernel: the trace's contiguous per-dimension
 /// columns (PerfTrace::Columns) are swept one at a time with an early-exit
 /// union test, which keeps the scan cache-friendly and allocation-free on
-/// the hot path. Thread-safe: concurrent Probability calls on shared traces
-/// are the unit of work the parallel curve build fans out.
+/// the hot path. It is the only Eq. 1 evaluator: curve builds, both
+/// recommenders, the MI route and the confidence resampler all call it once
+/// per candidate (DESIGN.md §9). Thread-safe: concurrent Probability calls
+/// on shared traces are the unit of work the parallel curve build fans out.
 class NonParametricEstimator : public ThrottlingEstimator {
  public:
   StatusOr<double> Probability(
       const telemetry::PerfTrace& trace,
       const catalog::ResourceVector& capacities) const override;
-
-  /// Amortized batch path (DESIGN.md §9): builds one ExceedanceIndex over
-  /// the union of candidate dimensions — argsort once per dimension,
-  /// exceedance bitsets memoized per distinct capacity value — then counts
-  /// each candidate's union by word-wise OR + popcount, O(d·n/64) per SKU.
-  /// Bit-identical to looping Probability: both count exactly the rows
-  /// where any shared dimension exceeds its capacity and divide by n.
-  StatusOr<std::vector<double>> EstimateCurveProbabilities(
-      const telemetry::PerfTrace& trace,
-      const std::vector<catalog::ResourceVector>& capacities,
-      exec::ThreadPool* executor = nullptr,
-      const telemetry::TraceStatsCache* stats = nullptr) const override;
-  using ThrottlingEstimator::EstimateCurveProbabilities;
-
-  /// Index-backed moving-capacity path: the constant dimensions reuse the
-  /// memoized exceedance bitsets; the moving dimension builds its bitset by
-  /// a direct row-vs-row compare (ExceedanceIndex::CountExceedingUnionMoving).
-  /// Bit-identical to the base row-major scan.
-  StatusOr<double> ProbabilityMoving(
-      const telemetry::PerfTrace& trace,
-      const catalog::ResourceVector& capacities,
-      const MovingCapacity& moving) const override;
 
   const char* name() const override { return "non-parametric"; }
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
@@ -62,7 +63,7 @@ Commands:
             [--journal-out F] [--stats-interval-ms N] [--stats-out F]
             [--slo-ms N]
   monitor   --spool DIR [--target db|mi] [--catalog F] [--profiles F]
-            [--rounds N] [--poll-ms N] [--window-rows N] [--sketch-budget N]
+            [--rounds N] [--poll-ms N] [--window-rows N]
             [--min-assess-rows N] [--drift-tolerance X] [--current-sku ID]
             [--quality strict|repair|permissive] [--json] [--out F]
   stats     [--snapshots F] [--last N]       render the serve stats file
@@ -71,7 +72,8 @@ Commands:
   tco       --trace F
   synth     --trace F
 
-Global flags (any command; --flag=value and --flag value both work):
+Global flags (any command; --flag=value and --flag value both work; a
+flag the command does not read is a usage error):
   --log-level debug|info|warning|error   stderr verbosity (default info)
   --log-json                             one JSON object per log line
   --metrics-out F    write the metrics registry after the command
@@ -125,10 +127,9 @@ snapshots.
 monitor tails a telemetry spool as a STREAM: each *.csv under --spool is
 one batch for the customer named by the file name up to the first '.'
 ("acme.0001.csv" extends acme's stream), appended into a per-customer
-sliding window of --window-rows rows with incrementally maintained order
-statistics and exceedance bitsets (windows past --sketch-budget rows fall
-back to bounded-memory quantile sketches). A customer's first
---min-assess-rows rows trigger one full assessment (minus confidence);
+sliding window of exactly --window-rows rows (default 1008, one week).
+A customer's first --min-assess-rows rows (default 288, at most
+--window-rows) trigger one full assessment (minus confidence);
 afterwards a window-mean shift past --drift-tolerance on any dimension
 re-runs ONLY the affected stages, and with --current-sku also the SKU
 drift detector. --rounds/--poll-ms scan like serve.
@@ -810,27 +811,32 @@ StatusOr<int> RunMonitor(const CliOptions& options, std::ostream& out) {
         ParsePositiveInt(options.Get("window-rows"), "--window-rows"));
     monitor_options.window_rows = static_cast<std::size_t>(rows);
   }
-  if (options.Has("sketch-budget")) {
-    DOPPLER_ASSIGN_OR_RETURN(
-        const int budget,
-        ParsePositiveInt(options.Get("sketch-budget"), "--sketch-budget"));
-    monitor_options.sketch_row_budget = static_cast<std::size_t>(budget);
-  }
   if (options.Has("min-assess-rows")) {
     DOPPLER_ASSIGN_OR_RETURN(const int rows,
                              ParsePositiveInt(options.Get("min-assess-rows"),
                                               "--min-assess-rows"));
     monitor_options.min_assess_rows = static_cast<std::size_t>(rows);
   }
+  // A window shorter than the assessment threshold never assesses.
+  if (monitor_options.min_assess_rows > monitor_options.window_rows) {
+    return InvalidArgumentError(
+        "--min-assess-rows (" +
+        std::to_string(monitor_options.min_assess_rows) +
+        ") exceeds --window-rows (" +
+        std::to_string(monitor_options.window_rows) + ")");
+  }
   if (options.Has("drift-tolerance")) {
+    // `end` points into `text`, so the string must outlive the check.
+    const std::string text = options.Get("drift-tolerance");
     char* end = nullptr;
-    monitor_options.drift_tolerance =
-        std::strtod(options.Get("drift-tolerance").c_str(), &end);
+    monitor_options.drift_tolerance = std::strtod(text.c_str(), &end);
+    // NaN and infinity would never trip drift.
     if (end == nullptr || *end != '\0' ||
+        !std::isfinite(monitor_options.drift_tolerance) ||
         monitor_options.drift_tolerance <= 0.0) {
-      return InvalidArgumentError("--drift-tolerance expects a positive "
-                                  "number, got '" +
-                                  options.Get("drift-tolerance") + "'");
+      return InvalidArgumentError(
+          "--drift-tolerance expects a positive finite number, got '" + text +
+          "'");
     }
   }
   monitor_options.current_sku_id = options.Get("current-sku");
@@ -1116,6 +1122,75 @@ StatusOr<int> RunSynth(const CliOptions& options, std::ostream& out) {
   return 0;
 }
 
+StatusOr<int> RunHelp(const CliOptions&, std::ostream& out) {
+  out << kUsage;
+  return 0;
+}
+
+// The dispatch table: each command's handler and the flags it reads, its
+// own and those of the Resolve* helpers it calls. ParseCliArgs rejects
+// any other flag, so a typo or a retired flag fails instead of silently
+// doing nothing.
+struct Command {
+  const char* name;
+  StatusOr<int> (*run)(const CliOptions& options, std::ostream& out);
+  std::set<std::string> flags;
+};
+
+const std::vector<Command>& Commands() {
+  static const auto* const kCommands = new std::vector<Command>{
+      {"help", RunHelp, {}},
+      {"catalog", RunCatalog, {"catalog", "extended", "out"}},
+      {"fit-profiles",
+       RunFitProfiles,
+       {"deployment", "customers", "seed", "catalog", "extended", "out"}},
+      {"assess",
+       RunAssess,
+       {"trace", "target", "targets", "catalog", "extended", "profiles",
+        "layout", "current-sku", "confidence", "json", "quality"}},
+      {"targets", RunTargets, {"json"}},
+      {"assess-batch",
+       RunAssessBatch,
+       {"traces", "jobs", "target", "catalog", "extended", "profiles",
+        "quality", "json", "timings", "out"}},
+      {"serve",
+       RunServe,
+       {"spool", "jobs", "queue-depth", "deadline-ms", "target", "targets",
+        "catalog", "extended", "profiles", "confidence", "quality", "json",
+        "out", "watch-catalog", "rounds", "poll-ms", "journal-out",
+        "stats-interval-ms", "stats-out", "slo-ms"}},
+      {"monitor",
+       RunMonitor,
+       {"spool", "target", "catalog", "extended", "profiles", "rounds",
+        "poll-ms", "window-rows", "min-assess-rows", "drift-tolerance",
+        "current-sku", "quality", "json", "out"}},
+      {"stats", RunStats, {"snapshots", "last"}},
+      {"forecast",
+       RunForecast,
+       {"trace", "current-sku", "months", "catalog", "extended"}},
+      {"drift",
+       RunDrift,
+       {"trace", "current-sku", "recent-fraction", "catalog", "extended"}},
+      {"tco", RunTco, {"trace", "catalog", "extended", "profiles", "json"}},
+      {"synth", RunSynth, {"trace"}},
+  };
+  return *kCommands;
+}
+
+// Read by ApplyGlobalFlags / ExportObservability for every command.
+const std::set<std::string>& GlobalFlags() {
+  static const auto* const kGlobal = new std::set<std::string>{
+      "log-level", "log-json", "metrics-out", "trace-out"};
+  return *kGlobal;
+}
+
+const Command* FindCommand(const std::string& name) {
+  for (const Command& command : Commands()) {
+    if (name == command.name) return &command;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 std::string CliOptions::Get(const std::string& name,
@@ -1153,28 +1228,25 @@ StatusOr<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
       options.flags[flag] = "";  // Boolean flag.
     }
   }
+  // An unknown command has no flag set; RunCli reports it.
+  if (const Command* command = FindCommand(options.command)) {
+    for (const auto& [flag, value] : options.flags) {
+      if (command->flags.count(flag) == 0 && GlobalFlags().count(flag) == 0) {
+        return InvalidArgumentError("unknown flag --" + flag + " for '" +
+                                    options.command + "'");
+      }
+    }
+  }
   return options;
 }
 
 StatusOr<int> RunCli(const CliOptions& options, std::ostream& out) {
-  if (options.command == "help") {
-    out << kUsage;
-    return 0;
+  const Command* command = FindCommand(options.command);
+  if (command == nullptr) {
+    return InvalidArgumentError("unknown command '" + options.command +
+                                "' (try 'doppler help')");
   }
-  if (options.command == "catalog") return RunCatalog(options, out);
-  if (options.command == "fit-profiles") return RunFitProfiles(options, out);
-  if (options.command == "assess") return RunAssess(options, out);
-  if (options.command == "targets") return RunTargets(options, out);
-  if (options.command == "assess-batch") return RunAssessBatch(options, out);
-  if (options.command == "serve") return RunServe(options, out);
-  if (options.command == "monitor") return RunMonitor(options, out);
-  if (options.command == "stats") return RunStats(options, out);
-  if (options.command == "forecast") return RunForecast(options, out);
-  if (options.command == "drift") return RunDrift(options, out);
-  if (options.command == "tco") return RunTco(options, out);
-  if (options.command == "synth") return RunSynth(options, out);
-  return InvalidArgumentError("unknown command '" + options.command +
-                              "' (try 'doppler help')");
+  return command->run(options, out);
 }
 
 int ExitCodeForStatus(const Status& status) {

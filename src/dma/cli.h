@@ -26,7 +26,9 @@ struct CliOptions {
 
 /// Parses `args` (without argv[0]). The first token is the command; the
 /// rest must be --flag [value] pairs (a flag followed by another flag or
-/// end of input is boolean). Fails on empty input or malformed tokens.
+/// end of input is boolean). Fails on empty input, malformed tokens, or a
+/// flag that a known command does not read (global flags are accepted by
+/// every command).
 StatusOr<CliOptions> ParseCliArgs(const std::vector<std::string>& args);
 
 /// Executes a parsed command, writing human output to `out`. Returns the

@@ -252,9 +252,9 @@ Status SkuRecommendationPipeline::StageConfidence(RequestContext& ctx) const {
   Rng rng(config_.confidence_seed);
   const catalog::FileLayout& layout = ctx.layout;
   // The scorer's first rerun evaluates the original instance trace: reuse
-  // the assessment's memoized cache (sorted series + argsort feeding the
-  // exceedance index) instead of re-sorting every dimension again. Each
-  // bootstrap resample is a distinct trace and gets its own view.
+  // the assessment's memoized cache (the sorted series profiling reads)
+  // instead of re-sorting every dimension again. Each bootstrap resample is
+  // a distinct trace and gets its own view.
   telemetry::TraceStatsCache* instance_stats = EnsureInstanceStats(ctx);
   const telemetry::PerfTrace* instance_trace = &outcome.instance_trace;
   core::RecommendFn rerun =

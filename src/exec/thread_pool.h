@@ -61,10 +61,9 @@ class ThreadPool {
   /// waits), and blocks until every chunk completed. Chunk boundaries
   /// depend only on `n` and the pool size — never on scheduling — so
   /// callers that write results by index get identical output at any
-  /// thread count. The batch curve evaluator
-  /// (ThrottlingEstimator::EstimateCurveProbabilities) fans its candidate
-  /// set out through here; any state the workers share (e.g. the
-  /// exceedance-index memo) must keep both results AND counter charges
+  /// thread count. The curve build (PricePerformanceCurve::Build) fans its
+  /// per-candidate Eq. 1 scans out through here; any state the workers
+  /// share must keep both results AND counter charges
   /// schedule-independent to uphold the DESIGN.md §7 determinism contract.
   void ParallelFor(std::size_t n,
                    const std::function<void(std::size_t, std::size_t)>& fn);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "stats/descriptive.h"
+
 namespace doppler::stream {
 
 StreamingTrace::StreamingTrace(const std::vector<catalog::ResourceDim>& dims,
@@ -34,7 +36,6 @@ StatusOr<std::uint64_t> StreamingTrace::Append(const std::vector<double>& row) {
     ring_[Index(dims_[k])][slot] = row[k];
   }
   ++next_seq_;
-  ++generation_;
   return seq;
 }
 
@@ -43,23 +44,29 @@ Status StreamingTrace::PopFront() {
     return FailedPreconditionError("streaming window is empty");
   }
   ++first_seq_;
-  ++generation_;
   return OkStatus();
 }
 
 telemetry::PerfTrace StreamingTrace::Materialize() const {
   telemetry::PerfTrace trace(interval_seconds_);
   trace.set_id(id_);
-  const std::size_t n = size();
   for (catalog::ResourceDim dim : dims_) {
-    std::vector<double> values(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      values[i] = ValueAt(dim, first_seq_ + i);
-    }
     // All columns share one length; SetSeries cannot fail here.
-    (void)trace.SetSeries(dim, std::move(values));
+    (void)trace.SetSeries(dim, Column(dim));
   }
   return trace;
+}
+
+double StreamingTrace::Mean(catalog::ResourceDim dim) const {
+  return Has(dim) ? stats::Mean(Column(dim)) : 0.0;
+}
+
+std::vector<double> StreamingTrace::Column(catalog::ResourceDim dim) const {
+  std::vector<double> values(size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = ValueAt(dim, first_seq_ + i);
+  }
+  return values;
 }
 
 }  // namespace doppler::stream

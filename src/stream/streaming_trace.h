@@ -18,12 +18,9 @@ namespace doppler::stream {
 /// assigned at append time; the live window is the half-open seq range
 /// [first_seq, next_seq), and seq s lives in ring slot s % capacity.
 ///
-/// The trace itself holds no derived state. The incremental caches
-/// (StreamStats, StreamIndex) are patched explicitly by the orchestrating
-/// window in a fixed order per mutation — evict observers fire BEFORE
-/// PopFront() releases the row (they read the departing values), append
-/// observers AFTER Append() lands it. `generation()` counts mutations, so
-/// borrowers can assert they were kept in step.
+/// The ring is the whole streaming state: it holds no derived caches, and
+/// every statistic the monitor reads (Mean) is recomputed from the live
+/// rows on demand.
 ///
 /// Not internally synchronized: the owner (stream::CustomerWindow)
 /// serialises mutation and concurrent reads behind its own lock.
@@ -55,9 +52,6 @@ class StreamingTrace {
   /// Sequence number the next Append will assign.
   std::uint64_t next_seq() const { return next_seq_; }
 
-  /// Mutation counter: +1 per Append and per PopFront.
-  std::uint64_t generation() const { return generation_; }
-
   std::int64_t interval_seconds() const { return interval_seconds_; }
 
   /// Ring slot of a sequence number.
@@ -66,8 +60,7 @@ class StreamingTrace {
   }
 
   /// Appends one row (values aligned with dims()) and returns its seq.
-  /// Fails when the window is full — the caller evicts first, so its
-  /// borrowers can observe the departing row before the slot is reused.
+  /// Fails when the window is full — the caller evicts first.
   StatusOr<std::uint64_t> Append(const std::vector<double>& row);
 
   /// Evicts the oldest row. Fails when empty.
@@ -86,10 +79,18 @@ class StreamingTrace {
   /// window-relative row index = seq - first_seq().
   telemetry::PerfTrace Materialize() const;
 
+  /// Mean of `dim` over the live rows, computed by stats::Mean over the
+  /// values in seq order — bit-identical to TraceStatsCache::Mean over
+  /// Materialize(). 0 when the window is empty or lacks `dim`.
+  double Mean(catalog::ResourceDim dim) const;
+
  private:
   static constexpr std::size_t Index(catalog::ResourceDim dim) {
     return static_cast<std::size_t>(static_cast<int>(dim));
   }
+
+  /// The live values of a present dimension, in seq order.
+  std::vector<double> Column(catalog::ResourceDim dim) const;
 
   std::string id_;
   std::vector<catalog::ResourceDim> dims_;
@@ -98,7 +99,6 @@ class StreamingTrace {
   std::int64_t interval_seconds_;
   std::uint64_t first_seq_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t generation_ = 0;
   /// One capacity-sized column per present dimension.
   std::array<std::vector<double>, catalog::kNumResourceDims> ring_;
 };

@@ -22,16 +22,15 @@ namespace doppler::telemetry {
 /// built lazily on first access, under a mutex, so concurrent workers of a
 /// parallel curve build or fleet assessment may share one cache safely.
 ///
-/// Invalidation contract (DESIGN.md §7, hardened in §13): a trace must not
-/// be mutated while a cache over it is being read CONCURRENTLY. Sequential
-/// mutation is tolerated: every entry records the trace generation it was
-/// built against (PerfTrace::generation()) and rebuilds on the next access
-/// after the trace moved on, so a mutated trace invalidates the memo
-/// instead of serving stale sorted order. References handed out earlier
-/// stay valid (the entry's vectors are refilled in place) and read the
-/// fresh contents. Every value is computed by the same stats:: routines
-/// the uncached paths use, so cached and uncached results are
-/// bit-identical.
+/// Invalidation contract (DESIGN.md §7): a trace must not be mutated while a
+/// cache over it is being read CONCURRENTLY. Sequential mutation is tolerated:
+/// every entry records the trace generation it was built against
+/// (PerfTrace::generation()) and rebuilds on the next access after the trace
+/// moved on, so a mutated trace invalidates the memo instead of serving stale
+/// sorted order. References handed out earlier stay valid (the entry's vectors
+/// are refilled in place) and read the fresh contents. Every value is computed
+/// by the same stats:: routines the uncached paths use, so cached and uncached
+/// results are bit-identical.
 class TraceStatsCache {
  public:
   /// Borrows `trace`, which must outlive the cache and stay unmutated.
@@ -43,16 +42,10 @@ class TraceStatsCache {
   const PerfTrace& trace() const { return *trace_; }
 
   /// Ascending-sorted copy of the dimension's series; empty when the
-  /// dimension is absent from the trace.
+  /// dimension is absent from the trace. Equal values keep their row order
+  /// (a stable sort), so -0.0 and +0.0 land in a fixed order and the
+  /// vector is a deterministic function of the series alone.
   const std::vector<double>& Sorted(catalog::ResourceDim dim) const;
-
-  /// The sorting permutation behind Sorted(): row indices of the original
-  /// series in ascending value order, ties broken by ascending row index,
-  /// so the permutation is a deterministic function of the series alone.
-  /// Sorted()[i] == Values(dim)[Argsort(dim)[i]]. The exceedance index
-  /// (DESIGN.md §9) reads this to turn "rows above a capacity" into a
-  /// suffix of the permutation. Empty when the dimension is absent.
-  const std::vector<std::uint32_t>& Argsort(catalog::ResourceDim dim) const;
 
   /// R-7 quantile over the memoized sorted series (0 when absent).
   double Quantile(catalog::ResourceDim dim, double q) const;
@@ -69,7 +62,6 @@ class TraceStatsCache {
     /// the trace was mutated and the entry rebuilds before serving.
     std::uint64_t generation = 0;
     std::vector<double> sorted;
-    std::vector<std::uint32_t> argsort;
     double mean = 0.0;
     double stddev = 0.0;
     double min = 0.0;

@@ -127,20 +127,4 @@ ScopedKernelOverride::~ScopedKernelOverride() {
   g_active.store(previous_, std::memory_order_relaxed);
 }
 
-bool PaddingBitsAreZero(const std::uint64_t* words, std::size_t num_words,
-                        std::size_t num_rows) {
-  const std::size_t full_words = num_rows / 64;
-  const std::size_t tail_bits = num_rows % 64;
-  std::size_t w = full_words;
-  if (tail_bits != 0) {
-    if (w >= num_words) return true;  // no storage past the rows at all
-    if ((words[w] >> tail_bits) != 0) return false;
-    ++w;
-  }
-  for (; w < num_words; ++w) {
-    if (words[w] != 0) return false;
-  }
-  return true;
-}
-
 }  // namespace doppler::kernels

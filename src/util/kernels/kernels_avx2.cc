@@ -25,6 +25,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 
 namespace doppler::kernels::internal {
 
@@ -48,44 +49,6 @@ constexpr std::array<std::uint32_t, 16> MakeExpand4() {
   return table;
 }
 constexpr std::array<std::uint32_t, 16> kExpand4 = MakeExpand4();
-
-std::size_t UnionCount(std::uint64_t* acc, const std::uint64_t* src,
-                       std::size_t num_words) {
-  std::size_t count = 0;
-  std::size_t w = 0;
-  for (; w + 4 <= num_words; w += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + w));
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
-    // Bits in src but not yet in acc; VPTEST skips the store and the four
-    // popcounts whenever a block contributes nothing (the vector analogue
-    // of the scalar saturated-word skip).
-    const __m256i fresh = _mm256_andnot_si256(a, s);
-    if (_mm256_testz_si256(fresh, fresh)) continue;
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + w),
-                        _mm256_or_si256(a, s));
-    count += static_cast<std::size_t>(
-        __builtin_popcountll(
-            static_cast<unsigned long long>(_mm256_extract_epi64(fresh, 0))) +
-        __builtin_popcountll(
-            static_cast<unsigned long long>(_mm256_extract_epi64(fresh, 1))) +
-        __builtin_popcountll(
-            static_cast<unsigned long long>(_mm256_extract_epi64(fresh, 2))) +
-        __builtin_popcountll(
-            static_cast<unsigned long long>(_mm256_extract_epi64(fresh, 3))));
-  }
-  for (; w < num_words; ++w) {
-    const std::uint64_t prev = acc[w];
-    const std::uint64_t merged = prev | src[w];
-    if (merged != prev) {
-      count += static_cast<std::size_t>(
-          __builtin_popcountll(merged ^ prev));
-      acc[w] = merged;
-    }
-  }
-  return count;
-}
 
 template <int Predicate>
 std::size_t CountCmp(const double* values, std::size_t n, double limit) {
@@ -144,38 +107,6 @@ std::size_t MarkCmp(const double* values, std::size_t n, double limit,
   return newly;
 }
 
-template <int Predicate>
-std::size_t BitsetCmp(const double* values, const double* limits,
-                      std::size_t n, std::uint64_t* words) {
-  std::size_t count = 0;
-  std::size_t w = 0;
-  for (; (w + 1) * 64 <= n; ++w) {
-    std::uint64_t word = 0;
-    const std::size_t base = w * 64;
-    for (std::size_t j = 0; j < 64; j += 4) {
-      const __m256d v = _mm256_loadu_pd(values + base + j);
-      const __m256d l = _mm256_loadu_pd(limits + base + j);
-      const std::uint64_t mask = static_cast<std::uint64_t>(
-          static_cast<unsigned>(_mm256_movemask_pd(
-              _mm256_cmp_pd(v, l, Predicate))));
-      word |= mask << j;
-    }
-    words[w] = word;
-    count += static_cast<std::size_t>(__builtin_popcountll(word));
-  }
-  if (w * 64 < n) {
-    std::uint64_t word = 0;
-    for (std::size_t r = w * 64; r < n; ++r) {
-      const bool hit =
-          Predicate == _CMP_GT_OQ ? values[r] > limits[r] : values[r] < limits[r];
-      word |= static_cast<std::uint64_t>(hit) << (r & 63);
-    }
-    words[w] = word;
-    count += static_cast<std::size_t>(__builtin_popcountll(word));
-  }
-  return count;
-}
-
 double KdeCdfSum(const double* sample, std::size_t n, double x,
                  double bandwidth) {
   const __m256d query = _mm256_set1_pd(x);
@@ -229,13 +160,10 @@ double KdeDensitySum(const double* sample, std::size_t n, double x,
 
 constexpr KernelOps kAvx2Ops = {
     "avx2",
-    UnionCount,
     CountCmp<_CMP_GT_OQ>,
     CountCmp<_CMP_LT_OQ>,
     MarkCmp<_CMP_GT_OQ>,
     MarkCmp<_CMP_LT_OQ>,
-    BitsetCmp<_CMP_GT_OQ>,
-    BitsetCmp<_CMP_LT_OQ>,
     KdeCdfSum,
     KdeDensitySum,
 };

@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 
 namespace doppler::kernels::internal {
 
@@ -33,32 +34,6 @@ constexpr std::array<std::uint32_t, 16> MakeExpand4() {
   return table;
 }
 constexpr std::array<std::uint32_t, 16> kExpand4 = MakeExpand4();
-
-std::size_t UnionCount(std::uint64_t* acc, const std::uint64_t* src,
-                       std::size_t num_words) {
-  std::size_t count = 0;
-  std::size_t w = 0;
-  for (; w + 2 <= num_words; w += 2) {
-    const uint64x2_t a = vld1q_u64(acc + w);
-    const uint64x2_t s = vld1q_u64(src + w);
-    const uint64x2_t fresh = vbicq_u64(s, a);  // src & ~acc
-    const std::uint64_t lo = vgetq_lane_u64(fresh, 0);
-    const std::uint64_t hi = vgetq_lane_u64(fresh, 1);
-    if ((lo | hi) == 0) continue;
-    vst1q_u64(acc + w, vorrq_u64(a, s));
-    count += static_cast<std::size_t>(__builtin_popcountll(lo) +
-                                      __builtin_popcountll(hi));
-  }
-  for (; w < num_words; ++w) {
-    const std::uint64_t prev = acc[w];
-    const std::uint64_t merged = prev | src[w];
-    if (merged != prev) {
-      count += static_cast<std::size_t>(__builtin_popcountll(merged ^ prev));
-      acc[w] = merged;
-    }
-  }
-  return count;
-}
 
 template <bool Above>
 uint64x2_t Compare(float64x2_t v, float64x2_t limit) {
@@ -119,35 +94,6 @@ std::size_t MarkCmp(const double* values, std::size_t n, double limit,
   return newly;
 }
 
-template <bool Above>
-std::size_t BitsetCmp(const double* values, const double* limits,
-                      std::size_t n, std::uint64_t* words) {
-  std::size_t count = 0;
-  std::size_t w = 0;
-  for (; (w + 1) * 64 <= n; ++w) {
-    std::uint64_t word = 0;
-    const std::size_t base = w * 64;
-    for (std::size_t j = 0; j < 64; j += 2) {
-      const uint64x2_t cmp = Compare<Above>(vld1q_f64(values + base + j),
-                                            vld1q_f64(limits + base + j));
-      word |= (vgetq_lane_u64(cmp, 0) & 1u) << j;
-      word |= (vgetq_lane_u64(cmp, 1) & 1u) << (j + 1);
-    }
-    words[w] = word;
-    count += static_cast<std::size_t>(__builtin_popcountll(word));
-  }
-  if (w * 64 < n) {
-    std::uint64_t word = 0;
-    for (std::size_t r = w * 64; r < n; ++r) {
-      const bool hit = Above ? values[r] > limits[r] : values[r] < limits[r];
-      word |= static_cast<std::uint64_t>(hit) << (r & 63);
-    }
-    words[w] = word;
-    count += static_cast<std::size_t>(__builtin_popcountll(word));
-  }
-  return count;
-}
-
 double KdeCdfSum(const double* sample, std::size_t n, double x,
                  double bandwidth) {
   const float64x2_t query = vdupq_n_f64(x);
@@ -191,13 +137,10 @@ double KdeDensitySum(const double* sample, std::size_t n, double x,
 
 constexpr KernelOps kNeonOps = {
     "neon",
-    UnionCount,
     CountCmp<true>,
     CountCmp<false>,
     MarkCmp<true>,
     MarkCmp<false>,
-    BitsetCmp<true>,
-    BitsetCmp<false>,
     KdeCdfSum,
     KdeDensitySum,
 };

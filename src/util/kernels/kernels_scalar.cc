@@ -2,12 +2,10 @@
 // SIMD variant is held bit-identical to (tests/kernel_test.cc), and the
 // fallback the dispatcher selects when no vector unit is available or
 // DOPPLER_KERNEL=scalar forces it. The loops are written exactly like the
-// hot paths they were hoisted out of (core/exceedance_index.cc,
-// core/throttling.cc, stats/kde.cc), so routing a caller through the
-// table on a scalar-only host changes nothing but the call.
+// hot paths they were hoisted out of (core/throttling.cc, stats/kde.cc),
+// so routing a caller through the table on a scalar-only host changes
+// nothing but the call.
 
-#include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "util/kernels/kernels_impl.h"
@@ -17,23 +15,6 @@ namespace doppler::kernels::internal {
 namespace {
 
 constexpr double kInvSqrt2 = 0.7071067811865476;
-
-std::size_t UnionCount(std::uint64_t* acc, const std::uint64_t* src,
-                       std::size_t num_words) {
-  std::size_t count = 0;
-  for (std::size_t w = 0; w < num_words; ++w) {
-    const std::uint64_t prev = acc[w];
-    // A saturated word cannot gain bits; skipping it saves the OR and the
-    // store on the all-throttled prefixes dense unions converge to.
-    if (prev == ~std::uint64_t{0}) continue;
-    const std::uint64_t merged = prev | src[w];
-    if (merged != prev) {
-      count += static_cast<std::size_t>(std::popcount(merged ^ prev));
-      acc[w] = merged;
-    }
-  }
-  return count;
-}
 
 std::size_t CountAbove(const double* values, std::size_t n, double limit) {
   std::size_t count = 0;
@@ -71,38 +52,6 @@ std::size_t MarkBelow(const double* values, std::size_t n, double limit,
   return newly;
 }
 
-std::size_t BitsetAbove(const double* values, const double* limits,
-                        std::size_t n, std::uint64_t* words) {
-  std::size_t count = 0;
-  for (std::size_t w = 0; w * 64 < n; ++w) {
-    const std::size_t end = std::min(n - w * 64, std::size_t{64});
-    std::uint64_t word = 0;
-    for (std::size_t b = 0; b < end; ++b) {
-      const std::size_t r = w * 64 + b;
-      word |= static_cast<std::uint64_t>(values[r] > limits[r]) << b;
-    }
-    words[w] = word;
-    count += static_cast<std::size_t>(std::popcount(word));
-  }
-  return count;
-}
-
-std::size_t BitsetBelow(const double* values, const double* limits,
-                        std::size_t n, std::uint64_t* words) {
-  std::size_t count = 0;
-  for (std::size_t w = 0; w * 64 < n; ++w) {
-    const std::size_t end = std::min(n - w * 64, std::size_t{64});
-    std::uint64_t word = 0;
-    for (std::size_t b = 0; b < end; ++b) {
-      const std::size_t r = w * 64 + b;
-      word |= static_cast<std::uint64_t>(values[r] < limits[r]) << b;
-    }
-    words[w] = word;
-    count += static_cast<std::size_t>(std::popcount(word));
-  }
-  return count;
-}
-
 double KdeCdfSum(const double* sample, std::size_t n, double x,
                  double bandwidth) {
   double sum = 0.0;
@@ -124,8 +73,8 @@ double KdeDensitySum(const double* sample, std::size_t n, double x,
 }
 
 constexpr KernelOps kScalarOps = {
-    "scalar",     UnionCount, CountAbove,  CountBelow,    MarkAbove,
-    MarkBelow,    BitsetAbove, BitsetBelow, KdeCdfSum,    KdeDensitySum,
+    "scalar",  CountAbove, CountBelow,   MarkAbove,
+    MarkBelow, KdeCdfSum,  KdeDensitySum,
 };
 
 }  // namespace

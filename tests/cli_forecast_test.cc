@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -176,6 +178,67 @@ TEST(CliRunTest, HelpAndUnknownCommand) {
   EXPECT_NE(err.str().find("unknown command"), std::string::npos);
   std::ostringstream usage;
   EXPECT_EQ(dma::CliMain({"assess", "stray"}, usage), 2);
+}
+
+// Each case below used to exit 0 and silently do nothing.
+
+TEST(CliRunTest, MonitorRejectsNonFiniteDriftTolerance) {
+  for (const char* tolerance : {"nan", "inf"}) {
+    std::ostringstream out;
+    EXPECT_EQ(dma::CliMain({"monitor", "--spool", testing::TempDir(),
+                            "--drift-tolerance", tolerance},
+                           out),
+              3)
+        << tolerance;  // kInvalidArgument
+    EXPECT_NE(out.str().find("--drift-tolerance"), std::string::npos)
+        << out.str();
+  }
+}
+
+TEST(CliRunTest, MonitorRejectsWindowShorterThanAssessThreshold) {
+  // The default --min-assess-rows (288) can never fit a 100-row window.
+  std::ostringstream out;
+  EXPECT_EQ(dma::CliMain({"monitor", "--spool", testing::TempDir(),
+                          "--window-rows", "100"},
+                         out),
+            3);
+  EXPECT_NE(out.str().find("--min-assess-rows (288) exceeds --window-rows "
+                           "(100)"),
+            std::string::npos)
+      << out.str();
+}
+
+// A flag the command does not read is a usage error (exit 2) that names
+// the flag.
+void ExpectUnknownFlag(const std::vector<std::string>& args,
+                       const std::string& flag) {
+  std::ostringstream out;
+  EXPECT_EQ(dma::CliMain(args, out), 2) << out.str();
+  EXPECT_NE(out.str().find("unknown flag --" + flag), std::string::npos)
+      << out.str();
+}
+
+TEST(CliRunTest, RejectsUnknownFlag) {
+  ExpectUnknownFlag({"monitor", "--spool", testing::TempDir(), "--bogus-flag",
+                     "3"},
+                    "bogus-flag");
+  // Global flags stay accepted by every command.
+  EXPECT_TRUE(dma::ParseCliArgs({"monitor", "--spool", "d", "--log-level",
+                                 "error", "--log-json", "--metrics-out", "m",
+                                 "--trace-out", "t"})
+                  .ok());
+}
+
+TEST(CliRunTest, RejectsRetiredSketchBudgetFlag) {
+  ExpectUnknownFlag({"monitor", "--spool", testing::TempDir(),
+                     "--sketch-budget", "10"},
+                    "sketch-budget");
+}
+
+TEST(CliRunTest, RejectsMisspelledFlag) {
+  ExpectUnknownFlag({"assess-batch", "--traces", testing::TempDir(), "--jbos",
+                     "4"},
+                    "jbos");
 }
 
 class CliFlowTest : public ::testing::Test {

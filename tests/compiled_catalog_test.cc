@@ -3,9 +3,18 @@
 // limit table against premium_disk.cc, and bit-for-bit determinism of the
 // compiled engine paths (curve build, MI filter, recommenders) across
 // independently compiled snapshots, including the target's per-trace
-// serverless repricing hook.
+// serverless repricing hook. The BatchEvaluationTest suite pins the curve
+// build's per-candidate scoring: exact agreement with Probability at any
+// job count, first failure in candidate order, schedule-independent
+// counters, and the bound KDE estimator shared by the build's workers.
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <optional>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,6 +30,10 @@
 #include "core/profiler.h"
 #include "core/recommender.h"
 #include "core/throttling.h"
+#include "exec/thread_pool.h"
+#include "obs/metrics.h"
+#include "telemetry/trace_stats.h"
+#include "util/random.h"
 
 namespace doppler::catalog {
 namespace {
@@ -370,6 +383,246 @@ TEST(CompiledCatalogTest, EmptyDeploymentViewFailsCurveBuild) {
       estimator);
   EXPECT_FALSE(curve.ok());
   EXPECT_EQ(curve.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ------------------------------------- Per-candidate curve scoring.
+
+// A random multi-dimensional trace with deliberate value collisions: CPU
+// is quantised to whole vCores and latency to half-milliseconds, so SKU
+// capacities sit exactly on observed demand values.
+telemetry::PerfTrace RandomTrace(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  telemetry::PerfTrace trace;
+  std::vector<double> cpu(n), memory(n), iops(n), latency(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    cpu[i] = std::floor(rng.Uniform(0.0, 16.0));
+    memory[i] = rng.Uniform(1.0, 64.0);
+    iops[i] = rng.Uniform(50.0, 5000.0);
+    latency[i] = 0.5 * std::floor(rng.Uniform(2.0, 20.0));
+  }
+  EXPECT_TRUE(trace.SetSeries(ResourceDim::kCpu, cpu).ok());
+  EXPECT_TRUE(trace.SetSeries(ResourceDim::kMemoryGb, memory).ok());
+  EXPECT_TRUE(trace.SetSeries(ResourceDim::kIops, iops).ok());
+  EXPECT_TRUE(trace.SetSeries(ResourceDim::kIoLatencyMs, latency).ok());
+  return trace;
+}
+
+std::uint64_t CounterValue(const char* name) {
+  return obs::DefaultMetrics().GetCounter(name)->Value();
+}
+
+// A pool for `jobs` > 1, none (the serial path) for 1.
+exec::ThreadPool* PoolFor(int jobs, std::optional<exec::ThreadPool>* pool) {
+  if (jobs <= 1) return nullptr;
+  pool->emplace(jobs);
+  return &**pool;
+}
+
+class BatchEvaluationTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    compiled_ = new CompiledCatalog(
+        CompiledCatalog::Compile(BuildAzureLikeCatalog(), &pricing_));
+  }
+  static void TearDownTestSuite() {
+    delete compiled_;
+    compiled_ = nullptr;
+  }
+
+  static CompiledView View(Deployment deployment) {
+    return compiled_->ForDeployment(deployment).view();
+  }
+
+  static const DefaultPricing pricing_;
+  static CompiledCatalog* compiled_;
+};
+
+const DefaultPricing BatchEvaluationTest::pricing_;
+CompiledCatalog* BatchEvaluationTest::compiled_ = nullptr;
+
+TEST_F(BatchEvaluationTest, MatchesScalarProbabilityExactlyAtAnyJobCount) {
+  const telemetry::PerfTrace trace = RandomTrace(55, 700);
+  const core::NonParametricEstimator estimator;
+  for (Deployment deployment : kPopulatedDeployments) {
+    for (int jobs : {1, 2, 8}) {
+      std::optional<exec::ThreadPool> pool;
+      StatusOr<PricePerformanceCurve> curve = PricePerformanceCurve::Build(
+          trace, View(deployment), pricing_, estimator, PoolFor(jobs, &pool));
+      ASSERT_TRUE(curve.ok()) << curve.status().ToString();
+      ASSERT_EQ(curve->size(), View(deployment).size());
+      for (const core::PricePerformancePoint& point : curve->points()) {
+        StatusOr<double> expected =
+            estimator.Probability(trace, point.sku.Capacities());
+        ASSERT_TRUE(expected.ok());
+        EXPECT_EQ(point.throttling_probability, *expected)
+            << point.sku.id << " jobs " << jobs;
+      }
+    }
+  }
+}
+
+// Fails every candidate whose memory capacity is listed, naming the value,
+// so a test can tell WHICH failure a curve build surfaced.
+class FailingEstimator : public core::ThrottlingEstimator {
+ public:
+  explicit FailingEstimator(std::set<double> failing_memory)
+      : failing_memory_(std::move(failing_memory)) {}
+
+  StatusOr<double> Probability(
+      const telemetry::PerfTrace& trace,
+      const ResourceVector& capacities) const override {
+    const double memory = capacities.Get(ResourceDim::kMemoryGb);
+    if (failing_memory_.count(memory) != 0) {
+      return InvalidArgumentError("memory " + std::to_string(memory));
+    }
+    return scan_.Probability(trace, capacities);
+  }
+  const char* name() const override { return "failing"; }
+
+ private:
+  std::set<double> failing_memory_;
+  core::NonParametricEstimator scan_;
+};
+
+TEST_F(BatchEvaluationTest, ReportsFirstFailureInCandidateOrder) {
+  const telemetry::PerfTrace trace = RandomTrace(56, 100);
+  const CompiledView view = View(Deployment::kSqlDb);
+  ASSERT_GE(view.size(), 3u);
+  const double early = view[1].capacities.Get(ResourceDim::kMemoryGb);
+  const double late =
+      view[view.size() - 1].capacities.Get(ResourceDim::kMemoryGb);
+  ASSERT_NE(early, late);
+  const FailingEstimator estimator({early, late});
+
+  // The serial loop's answer: the first failing candidate in price order.
+  std::string expected;
+  for (const CompiledEntry& entry : view) {
+    const double memory = entry.capacities.Get(ResourceDim::kMemoryGb);
+    if (memory == early || memory == late) {
+      expected = "memory " + std::to_string(memory);
+      break;
+    }
+  }
+  for (int jobs : {1, 8}) {
+    std::optional<exec::ThreadPool> pool;
+    StatusOr<PricePerformanceCurve> curve = PricePerformanceCurve::Build(
+        trace, view, pricing_, estimator, PoolFor(jobs, &pool));
+    ASSERT_FALSE(curve.ok());
+    EXPECT_EQ(curve.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(curve.status().message(), expected) << "jobs " << jobs;
+  }
+}
+
+TEST_F(BatchEvaluationTest, EmptyInputsBehaveLikeScalarPath) {
+  const core::NonParametricEstimator estimator;
+  const telemetry::PerfTrace trace = RandomTrace(57, 50);
+  EXPECT_FALSE(PricePerformanceCurve::Build(
+                   trace, std::vector<CompiledCandidateRef>{}, pricing_,
+                   estimator)
+                   .ok());
+
+  const telemetry::PerfTrace no_samples;
+  const Status scalar =
+      estimator
+          .Probability(no_samples, View(Deployment::kSqlDb)[0].capacities)
+          .status();
+  StatusOr<PricePerformanceCurve> curve = PricePerformanceCurve::Build(
+      no_samples, View(Deployment::kSqlDb), pricing_, estimator);
+  ASSERT_FALSE(curve.ok());
+  EXPECT_EQ(curve.status().code(), scalar.code());
+  EXPECT_EQ(curve.status().message(), scalar.message());
+}
+
+// The whole-view overload and the ref-list (vector) overload without IOPS
+// overrides score the same candidates the same way.
+TEST_F(BatchEvaluationTest, CompiledViewOverloadMatchesVectorOverload) {
+  const telemetry::PerfTrace trace = RandomTrace(58, 300);
+  const core::NonParametricEstimator estimator;
+  const CompiledView view = View(Deployment::kSqlDb);
+  std::vector<CompiledCandidateRef> refs;
+  for (const CompiledEntry& entry : view) refs.push_back({&entry, -1.0});
+
+  StatusOr<PricePerformanceCurve> from_view =
+      PricePerformanceCurve::Build(trace, view, pricing_, estimator);
+  StatusOr<PricePerformanceCurve> from_refs =
+      PricePerformanceCurve::Build(trace, refs, pricing_, estimator);
+  ASSERT_TRUE(from_view.ok());
+  ASSERT_TRUE(from_refs.ok());
+  ASSERT_EQ(from_view->size(), from_refs->size());
+  for (std::size_t i = 0; i < from_view->size(); ++i) {
+    EXPECT_EQ(from_view->points()[i].sku.id, from_refs->points()[i].sku.id);
+    EXPECT_EQ(from_view->points()[i].throttling_probability,
+              from_refs->points()[i].throttling_probability);
+  }
+}
+
+TEST_F(BatchEvaluationTest, CounterTotalsAreScheduleIndependent) {
+  const telemetry::PerfTrace trace = RandomTrace(60, 400);
+  const core::NonParametricEstimator estimator;
+  const char* const counters[] = {"ppm.throttling_evaluations",
+                                  "ppm.samples_scanned"};
+  std::vector<std::vector<std::uint64_t>> deltas;
+  for (int jobs : {1, 2, 8}) {
+    std::vector<std::uint64_t> before;
+    for (const char* name : counters) before.push_back(CounterValue(name));
+    std::optional<exec::ThreadPool> pool;
+    ASSERT_TRUE(PricePerformanceCurve::Build(trace, View(Deployment::kSqlDb),
+                                             pricing_, estimator,
+                                             PoolFor(jobs, &pool))
+                    .ok());
+    std::vector<std::uint64_t> delta;
+    for (std::size_t i = 0; i < std::size(counters); ++i) {
+      delta.push_back(CounterValue(counters[i]) - before[i]);
+    }
+    deltas.push_back(std::move(delta));
+  }
+  EXPECT_EQ(deltas[0][0], View(Deployment::kSqlDb).size());
+  for (std::size_t i = 0; i < std::size(counters); ++i) {
+    EXPECT_EQ(deltas[0][i], deltas[1][i]) << counters[i] << " jobs 1 vs 2";
+    EXPECT_EQ(deltas[0][i], deltas[2][i]) << counters[i] << " jobs 1 vs 8";
+  }
+}
+
+// Bound to a stats cache, the KDE estimator fits each dimension once from
+// the sorted series and shares the fit across the build's workers (a TSan
+// target); only floating-point summation order may differ from the
+// per-call fit.
+TEST_F(BatchEvaluationTest, BoundKdeMatchesUnboundWithinSummationTolerance) {
+  const telemetry::PerfTrace trace = RandomTrace(62, 350);
+  const telemetry::TraceStatsCache cache(trace);
+  const core::KdeEstimator unbound;
+  const core::KdeEstimator bound(&cache);
+  const CompiledView view = View(Deployment::kSqlDb);
+  for (const CompiledEntry& entry : view) {
+    StatusOr<double> a = unbound.Probability(trace, entry.capacities);
+    StatusOr<double> b = bound.Probability(trace, entry.capacities);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_NEAR(*a, *b, 1e-9);
+  }
+
+  StatusOr<PricePerformanceCurve> serial =
+      PricePerformanceCurve::Build(trace, view, pricing_, bound);
+  exec::ThreadPool pool(8);
+  StatusOr<PricePerformanceCurve> parallel =
+      PricePerformanceCurve::Build(trace, view, pricing_, bound, &pool);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_TRUE(parallel.ok());
+  for (std::size_t i = 0; i < serial->size(); ++i) {
+    EXPECT_EQ(serial->points()[i].throttling_probability,
+              parallel->points()[i].throttling_probability);
+  }
+
+  // On any OTHER trace the bound estimator falls back to the per-call fit
+  // and agrees exactly.
+  const telemetry::PerfTrace other = RandomTrace(63, 350);
+  for (const CompiledEntry& entry : view) {
+    StatusOr<double> a = unbound.Probability(other, entry.capacities);
+    StatusOr<double> b = bound.Probability(other, entry.capacities);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(*a, *b);
+  }
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 // curves, curve heuristics, and the MI premium-disk filter.
 
 #include <cmath>
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include "core/mi_filter.h"
 #include "core/price_performance.h"
 #include "core/throttling.h"
+#include "obs/metrics.h"
 #include "util/random.h"
 #include "workload/generator.h"
 
@@ -107,6 +110,51 @@ TEST(NonParametricTest, ErrorsOnDegenerateInputs) {
   ResourceVector no_shared;
   no_shared.Set(ResourceDim::kIops, 100.0);
   EXPECT_FALSE(estimator.Probability(trace, no_shared).ok());
+}
+
+// `ppm.samples_scanned` counts the rows the scan ACTUALLY visited: the
+// early exit after a column that throttles every row charges one column,
+// not the worst case.
+TEST(ScanCounterTest, SamplesScannedReflectsRowsActuallyVisited) {
+  Rng rng(64);
+  telemetry::PerfTrace trace;
+  for (ResourceDim dim :
+       {ResourceDim::kCpu, ResourceDim::kMemoryGb, ResourceDim::kIops}) {
+    std::vector<double> values(128);
+    for (double& v : values) v = rng.Uniform(0.0, 100.0);
+    ASSERT_TRUE(trace.SetSeries(dim, std::move(values)).ok());
+  }
+  obs::Counter* const samples =
+      obs::DefaultMetrics().GetCounter("ppm.samples_scanned");
+  const NonParametricEstimator estimator;
+
+  ResourceVector all_throttled;  // every demand exceeds -1
+  all_throttled.Set(ResourceDim::kCpu, -1.0);
+  all_throttled.Set(ResourceDim::kMemoryGb, -1.0);
+  all_throttled.Set(ResourceDim::kIops, -1.0);
+  const std::uint64_t before = samples->Value();
+  ASSERT_TRUE(estimator.Probability(trace, all_throttled).ok());
+  EXPECT_EQ(samples->Value() - before, trace.num_samples());
+
+  // No early exit: every one of the three columns is swept.
+  ResourceVector none_throttled;
+  none_throttled.Set(ResourceDim::kCpu, 1e12);
+  none_throttled.Set(ResourceDim::kMemoryGb, 1e12);
+  none_throttled.Set(ResourceDim::kIops, 1e12);
+  const std::uint64_t before_full = samples->Value();
+  ASSERT_TRUE(estimator.Probability(trace, none_throttled).ok());
+  EXPECT_EQ(samples->Value() - before_full, 3 * trace.num_samples());
+}
+
+TEST(ThrottlingScratchTest, TrimScratchReleasesOnlyOversizedBuffers) {
+  std::vector<std::uint64_t> small(128, 0);
+  TrimScratch(small);
+  EXPECT_GE(small.capacity(), 128u);  // within the retain cap: kept
+
+  std::vector<std::uint64_t> big;
+  big.resize(kScratchRetainBytes / sizeof(std::uint64_t) + 1);
+  TrimScratch(big);
+  EXPECT_EQ(big.capacity(), 0u);  // oversized: released
 }
 
 TEST(KdeTest, SmoothsAroundThreshold) {
@@ -348,8 +396,7 @@ TEST(CurveTest, MiIopsOverrideChangesProbability) {
   // One P10 file: 500 IOPS effective -> always throttled.
   const std::vector<CompiledCandidateRef> overridden = {{&view[0], 500.0}};
   StatusOr<PricePerformanceCurve> with_layout = PricePerformanceCurve::Build(
-      trace, overridden, pricing, estimator, nullptr, nullptr,
-      &compiled.target());
+      trace, overridden, pricing, estimator, nullptr, &compiled.target());
   ASSERT_TRUE(with_layout.ok());
   EXPECT_DOUBLE_EQ(with_layout->points()[0].throttling_probability, 1.0);
 }

@@ -9,14 +9,15 @@
 //
 //   DOPPLER_UPDATE_GOLDEN=1 ./golden_report_test
 //
-// rewrites examples/golden/*.json in the source tree; review the diff like
-// any other code change.
+// rewrites examples/golden/*.json (and monitor_drift.jsonl) in the source
+// tree; review the diff like any other code change.
 
-#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -25,8 +26,9 @@
 #include "dma/pipeline.h"
 #include "dma/preprocess.h"
 #include "dma/resource_report.h"
-#include "obs/metrics.h"
 #include "quality/quality_gate.h"
+#include "stream/monitor.h"
+#include "workload/generator.h"
 
 #ifndef DOPPLER_SOURCE_DIR
 #error "golden_report_test requires the DOPPLER_SOURCE_DIR definition"
@@ -42,9 +44,8 @@ std::string TracePath(const std::string& name) {
          ".csv";
 }
 
-std::string GoldenPath(const std::string& name) {
-  return std::string(DOPPLER_SOURCE_DIR) + "/examples/golden/" + name +
-         ".json";
+std::string GoldenPath(const std::string& file) {
+  return std::string(DOPPLER_SOURCE_DIR) + "/examples/golden/" + file;
 }
 
 bool UpdateMode() {
@@ -123,19 +124,26 @@ class GoldenReportTest : public ::testing::Test {
     StatusOr<std::string> rendered =
         RenderCanonical(trace_name, target, confidence);
     ASSERT_TRUE(rendered.ok()) << rendered.status().ToString();
+    CompareWithGolden(golden_name + ".json", *rendered);
+  }
+
+  // Compares `rendered` with the committed golden file, or rewrites the
+  // file in update mode.
+  static void CompareWithGolden(const std::string& file,
+                                const std::string& rendered) {
     if (UpdateMode()) {
-      const Status written = WriteFile(GoldenPath(golden_name), *rendered);
+      const Status written = WriteFile(GoldenPath(file), rendered);
       ASSERT_TRUE(written.ok()) << written.ToString();
-      GTEST_SKIP() << "golden " << golden_name << " regenerated";
+      GTEST_SKIP() << "golden " << file << " regenerated";
     }
-    StatusOr<std::string> golden = ReadFile(GoldenPath(golden_name));
+    StatusOr<std::string> golden = ReadFile(GoldenPath(file));
     ASSERT_TRUE(golden.ok())
         << golden.status().ToString()
         << " (run with DOPPLER_UPDATE_GOLDEN=1 to generate)";
-    EXPECT_EQ(*rendered, *golden)
-        << "report for " << trace_name << " drifted from golden '"
-        << golden_name << "'; if intended, regenerate with "
-        << "DOPPLER_UPDATE_GOLDEN=1 and review the diff";
+    EXPECT_EQ(rendered, *golden)
+        << "output drifted from golden '" << file
+        << "'; if intended, regenerate with DOPPLER_UPDATE_GOLDEN=1 and "
+        << "review the diff";
   }
 
   static dma::SkuRecommendationPipeline* pipeline_;
@@ -160,33 +168,55 @@ TEST_F(GoldenReportTest, BurstyDwDb) {
   CheckGolden("bursty_dw_db", "bursty_dw", Deployment::kSqlDb);
 }
 
-// The goldens above were produced by the amortized exceedance index
-// (DESIGN.md §9) because it IS the default curve path — this pins that
-// down so a silent fallback to the scalar scan can't masquerade as
-// byte-identity. Amortisation means the memoized bitsets get REUSED: over
-// a full catalog sweep, most (dimension, capacity) lookups must be memo
-// hits, because catalogs quantise capacities into far fewer distinct
-// values than candidate evaluations need.
-TEST_F(GoldenReportTest, IndexedBatchPathServesGoldenRenders) {
-  obs::MetricsRegistry& metrics = obs::DefaultMetrics();
-  const std::uint64_t misses0 =
-      metrics.GetCounter("ppm.index_misses")->Value();
-  const std::uint64_t hits0 = metrics.GetCounter("ppm.index_hits")->Value();
-  const std::uint64_t evals0 =
-      metrics.GetCounter("ppm.throttling_evaluations")->Value();
-  StatusOr<std::string> rendered =
-      RenderCanonical("steady_oltp", Deployment::kSqlDb, false);
-  ASSERT_TRUE(rendered.ok()) << rendered.status().ToString();
-  const std::uint64_t misses =
-      metrics.GetCounter("ppm.index_misses")->Value() - misses0;
-  const std::uint64_t hits =
-      metrics.GetCounter("ppm.index_hits")->Value() - hits0;
-  const std::uint64_t evals =
-      metrics.GetCounter("ppm.throttling_evaluations")->Value() - evals0;
-  EXPECT_GT(misses, 0u) << "curve build did not go through the index";
-  EXPECT_GT(evals, 0u);
-  EXPECT_GT(hits, misses)
-      << "memoization is not amortising across candidates";
+// The streaming monitor's per-batch events, pinned byte for byte. Each
+// canonical trace is one customer's stream: its two days are replayed twice
+// as day batches (four days), interleaved across customers by day, into a
+// two-day window, so every customer evicts and re-checks drift. The
+// customer "shifted" replays steady_oltp with CPU x2.5 from day three on,
+// which must trip drift and re-assess; the replayed days of the others move
+// no window mean past the default tolerance.
+TEST_F(GoldenReportTest, MonitorDriftEventsMatchGolden) {
+  struct Stream {
+    std::string customer;
+    std::string trace_name;
+    bool shifted;
+  };
+  const Stream streams[] = {{"bursty_dw", "bursty_dw", false},
+                            {"shifted", "steady_oltp", true},
+                            {"spiky_batch", "spiky_batch", false},
+                            {"steady_oltp", "steady_oltp", false}};
+  constexpr std::size_t kDayRows = telemetry::kSamplesPerDay;
+  constexpr std::size_t kDays = 4;
+
+  std::vector<telemetry::PerfTrace> traces;
+  for (const Stream& stream : streams) {
+    StatusOr<quality::GatedTrace> gated = quality::ReadTraceFileGated(
+        TracePath(stream.trace_name), quality::GateOptions());
+    ASSERT_TRUE(gated.ok()) << gated.status().ToString();
+    ASSERT_EQ(gated->trace.num_samples(), 2 * kDayRows);
+    traces.push_back(std::move(gated->trace));
+  }
+
+  stream::MonitorOptions options;
+  options.window_rows = 2 * kDayRows;
+  stream::StreamMonitor monitor(pipeline_, options);
+  std::string rendered;
+  for (std::size_t day = 0; day < kDays; ++day) {
+    for (std::size_t i = 0; i < std::size(streams); ++i) {
+      telemetry::PerfTrace batch =
+          traces[i].Window((day % 2) * kDayRows, kDayRows);
+      if (streams[i].shifted && day >= 2) {
+        ASSERT_TRUE(workload::RampDimension(&batch, catalog::ResourceDim::kCpu,
+                                            0, 2.5)
+                        .ok());
+      }
+      StatusOr<stream::MonitorEvent> event =
+          monitor.Ingest(streams[i].customer, batch);
+      ASSERT_TRUE(event.ok()) << event.status().ToString();
+      rendered += stream::RenderMonitorEventJson(*event) + "\n";
+    }
+  }
+  CompareWithGolden("monitor_drift.jsonl", rendered);
 }
 
 // The report must not depend on which identically-configured pipeline

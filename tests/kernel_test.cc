@@ -1,14 +1,11 @@
 // Differential harness for the SIMD kernel layer (DESIGN.md §15): every
 // compiled-in implementation of every kernel is held to EXACT equality —
 // integer-exact for the counting kernels, bit-for-bit for the KDE sums —
-// against the scalar reference, across word counts 0–257, every tail
-// alignment, all-saturated/all-zero words, and tie-heavy capacity values.
-// The dispatch shim itself is swept over every DOPPLER_KERNEL override
-// value, and the bitset arena's alignment/zeroing contract is pinned.
+// against the scalar reference, across every tail alignment and
+// tie-heavy capacity values. The dispatch shim itself is swept over every
+// DOPPLER_KERNEL override value.
 
-#include <array>
 #include <cmath>
-#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -16,7 +13,6 @@
 
 #include "gtest/gtest.h"
 #include "util/aligned.h"
-#include "util/kernels/bitset_arena.h"
 #include "util/kernels/kernels.h"
 #include "util/random.h"
 
@@ -37,68 +33,15 @@ std::vector<const KernelOps*> AvailableImpls() {
 
 const KernelOps& Scalar() { return *KernelOpsFor(KernelIsa::kScalar); }
 
-// Word counts covering the vector-block boundaries of every lane width in
-// play (AVX2 unions run 4 words per block, NEON 2) plus long runs.
-const std::size_t kWordCounts[] = {0, 1, 2, 3,  4,  5,  7,  8,   9,
-                                   15, 16, 17, 31, 63, 64, 65, 127, 257};
-
-// Row counts covering every tail alignment of the 4- and 8-wide double
-// kernels and the 64-row bitset words.
+// Row counts covering every tail alignment of the 2-, 4- and 8-wide double
+// kernels.
 const std::size_t kRowCounts[] = {0,  1,  2,  3,  4,   5,   6,   7,  8,
                                   9,  15, 16, 17, 31,  63,  64,  65, 100,
                                   127, 128, 129, 200, 255, 256, 257};
 
-struct WordPattern {
-  const char* name;
-  std::uint64_t (*make)(Rng& rng, std::size_t w);
-};
-
-const WordPattern kWordPatterns[] = {
-    {"random", [](Rng& rng, std::size_t) {
-       return rng.NextUint64();
-     }},
-    {"all_zero", [](Rng&, std::size_t) { return std::uint64_t{0}; }},
-    {"all_saturated", [](Rng&, std::size_t) { return ~std::uint64_t{0}; }},
-    {"alternating", [](Rng&, std::size_t w) {
-       return w % 2 == 0 ? std::uint64_t{0xAAAAAAAAAAAAAAAA}
-                         : ~std::uint64_t{0};
-     }},
-    {"sparse", [](Rng& rng, std::size_t) {
-       return std::uint64_t{1} << (rng.UniformInt(64));
-     }},
-};
-
 TEST(KernelLayerTest, ScalarAlwaysAvailable) {
   ASSERT_NE(KernelOpsFor(KernelIsa::kScalar), nullptr);
   EXPECT_STREQ(KernelOpsFor(KernelIsa::kScalar)->name, "scalar");
-}
-
-TEST(KernelLayerTest, UnionCountMatchesScalarOnEveryPattern) {
-  for (const KernelOps* impl : AvailableImpls()) {
-    Rng rng(2026);
-    for (std::size_t num_words : kWordCounts) {
-      for (const WordPattern& acc_pattern : kWordPatterns) {
-        for (const WordPattern& src_pattern : kWordPatterns) {
-          AlignedVector<std::uint64_t> acc_ref(num_words), src(num_words);
-          for (std::size_t w = 0; w < num_words; ++w) {
-            acc_ref[w] = acc_pattern.make(rng, w);
-            src[w] = src_pattern.make(rng, w);
-          }
-          AlignedVector<std::uint64_t> acc_impl = acc_ref;
-          const std::size_t expected = Scalar().union_count(
-              acc_ref.data(), src.data(), num_words);
-          const std::size_t got =
-              impl->union_count(acc_impl.data(), src.data(), num_words);
-          EXPECT_EQ(got, expected)
-              << impl->name << " words=" << num_words << " acc="
-              << acc_pattern.name << " src=" << src_pattern.name;
-          EXPECT_EQ(acc_impl, acc_ref)
-              << impl->name << " words=" << num_words << " acc="
-              << acc_pattern.name << " src=" << src_pattern.name;
-        }
-      }
-    }
-  }
 }
 
 // Columns probing strict-comparison edges: exact ties everywhere, NaNs
@@ -183,40 +126,6 @@ TEST(KernelLayerTest, MarkKernelsMatchScalarAndOnlyCountFreshRows) {
         EXPECT_EQ(marks_impl, marks_ref)
             << impl->name << " n=" << n << " limit=" << limit;
       }
-    }
-  }
-}
-
-TEST(KernelLayerTest, BitsetKernelsMatchScalarAndZeroPadding) {
-  for (const KernelOps* impl : AvailableImpls()) {
-    Rng rng(1234);
-    for (std::size_t n : kRowCounts) {
-      const AlignedVector<double> values = MakeColumn(rng, n);
-      const AlignedVector<double> limits = MakeColumn(rng, n);
-      const std::size_t num_words = (n + 63) / 64;
-      // Poisoned output buffers verify every word is written (the kernels
-      // promise callers need not pre-zero).
-      AlignedVector<std::uint64_t> words_ref(num_words, ~std::uint64_t{0});
-      AlignedVector<std::uint64_t> words_impl(num_words, ~std::uint64_t{0});
-      const std::size_t expected = Scalar().bitset_above(
-          values.data(), limits.data(), n, words_ref.data());
-      const std::size_t got = impl->bitset_above(
-          values.data(), limits.data(), n, words_impl.data());
-      EXPECT_EQ(got, expected) << impl->name << " n=" << n;
-      EXPECT_EQ(words_impl, words_ref) << impl->name << " n=" << n;
-      EXPECT_TRUE(PaddingBitsAreZero(words_impl.data(), num_words, n))
-          << impl->name << " n=" << n;
-
-      words_ref.assign(num_words, ~std::uint64_t{0});
-      words_impl.assign(num_words, ~std::uint64_t{0});
-      const std::size_t expected_below = Scalar().bitset_below(
-          values.data(), limits.data(), n, words_ref.data());
-      const std::size_t got_below = impl->bitset_below(
-          values.data(), limits.data(), n, words_impl.data());
-      EXPECT_EQ(got_below, expected_below) << impl->name << " n=" << n;
-      EXPECT_EQ(words_impl, words_ref) << impl->name << " n=" << n;
-      EXPECT_TRUE(PaddingBitsAreZero(words_impl.data(), num_words, n))
-          << impl->name << " n=" << n;
     }
   }
 }
@@ -306,88 +215,6 @@ TEST(KernelDispatchTest, ScopedOverrideSwapsAndRestoresActiveTable) {
     EXPECT_STREQ(ActiveKernels().name, "scalar");
   }
   EXPECT_EQ(&ActiveKernels(), &before);
-}
-
-TEST(KernelPaddingTest, PaddingBitsAreZeroCatchesEveryStrayBit) {
-  // 100 rows in 2 words: bits 100..127 are padding.
-  std::array<std::uint64_t, 2> words = {~std::uint64_t{0},
-                                        (std::uint64_t{1} << 36) - 1};
-  EXPECT_TRUE(PaddingBitsAreZero(words.data(), words.size(), 100));
-  for (std::size_t bit = 36; bit < 64; ++bit) {
-    auto corrupted = words;
-    corrupted[1] |= std::uint64_t{1} << bit;
-    EXPECT_FALSE(PaddingBitsAreZero(corrupted.data(), corrupted.size(), 100))
-        << "stray padding bit " << bit << " not detected";
-  }
-  // Row counts on a word boundary have no padding in the last row word,
-  // but wholly-padding words past it must be zero.
-  std::array<std::uint64_t, 3> exact = {~std::uint64_t{0}, ~std::uint64_t{0},
-                                        0};
-  EXPECT_TRUE(PaddingBitsAreZero(exact.data(), exact.size(), 128));
-  exact[2] = 1;
-  EXPECT_FALSE(PaddingBitsAreZero(exact.data(), exact.size(), 128));
-  EXPECT_TRUE(PaddingBitsAreZero(nullptr, 0, 0));
-}
-
-TEST(BitsetArenaTest, SpansAreCacheAlignedZeroedAndStable) {
-  BitsetArena arena;
-  std::vector<std::uint64_t*> spans;
-  std::vector<std::size_t> sizes;
-  Rng rng(31);
-  for (int i = 0; i < 200; ++i) {
-    const std::size_t num_words = rng.UniformInt(70);
-    std::uint64_t* span = arena.Allocate(num_words);
-    ASSERT_NE(span, nullptr);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(span) % 64, 0u)
-        << "allocation " << i << " not cache-line aligned";
-    for (std::size_t w = 0; w < num_words; ++w) {
-      ASSERT_EQ(span[w], 0u) << "allocation " << i << " word " << w
-                             << " not zeroed";
-    }
-    // Stamp the span; later allocations must never overlap it.
-    for (std::size_t w = 0; w < num_words; ++w) {
-      span[w] = 0x1111111111111111ull * static_cast<std::uint64_t>(i + 1);
-    }
-    spans.push_back(span);
-    sizes.push_back(num_words);
-  }
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    for (std::size_t w = 0; w < sizes[i]; ++w) {
-      ASSERT_EQ(spans[i][w],
-                0x1111111111111111ull * static_cast<std::uint64_t>(i + 1))
-          << "span " << i << " clobbered at word " << w;
-    }
-  }
-}
-
-TEST(BitsetArenaTest, ResetReusesMemoryAndRezeroes) {
-  BitsetArena arena;
-  std::uint64_t* first = arena.Allocate(64);
-  for (std::size_t w = 0; w < 64; ++w) first[w] = ~std::uint64_t{0};
-  const std::size_t capacity_before = arena.capacity_words();
-  ASSERT_GT(arena.allocated_words(), 0u);
-
-  arena.Reset();
-  EXPECT_EQ(arena.allocated_words(), 0u);
-  EXPECT_EQ(arena.capacity_words(), capacity_before);
-
-  // Steady state: the same memory comes back, zeroed despite the previous
-  // generation's bits.
-  std::uint64_t* second = arena.Allocate(64);
-  EXPECT_EQ(second, first);
-  for (std::size_t w = 0; w < 64; ++w) {
-    ASSERT_EQ(second[w], 0u) << "word " << w << " not re-zeroed after Reset";
-  }
-  EXPECT_EQ(arena.capacity_words(), capacity_before);
-}
-
-TEST(BitsetArenaTest, ZeroWordAllocationIsNonNullAndDisjoint) {
-  BitsetArena arena;
-  std::uint64_t* a = arena.Allocate(0);
-  std::uint64_t* b = arena.Allocate(0);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_NE(a, b);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // leans on without ever stating them.
 
 #include <cmath>
+#include <functional>
 #include <optional>
 
 #include <gtest/gtest.h>
@@ -328,114 +329,123 @@ TEST_P(EngineProperty, ColumnarScanMatchesNaiveRowMajorReference) {
   }
 }
 
-// The batch curve evaluator answers every candidate from memoized
-// exceedance bitsets instead of re-scanning columns (DESIGN.md §9). Like
-// the columnar scan above, it is an evaluation strategy, not a model: the
-// probabilities must match the naive row-major reference EXACTLY — over
-// the whole catalog, with a candidate tied exactly at an observed demand
-// value, with a single-dimension (inverted-latency) candidate that takes
-// the no-union fast path — at every job count, with and without a stats
-// cache.
-TEST_P(EngineProperty, BatchCurveProbabilitiesMatchNaiveRowMajorReference) {
-  const telemetry::PerfTrace trace = RandomTrace(GetParam());
-  const telemetry::TraceStatsCache cache(trace);
-
-  std::vector<catalog::ResourceVector> capacities;
-  for (const catalog::Sku& sku : catalog_->skus()) {
-    capacities.push_back(sku.Capacities());
+// Every kernel table compiled into this binary and runnable on this CPU.
+std::vector<const kernels::KernelOps*> AvailableKernels() {
+  std::vector<const kernels::KernelOps*> available;
+  for (kernels::KernelIsa isa :
+       {kernels::KernelIsa::kScalar, kernels::KernelIsa::kAvx2,
+        kernels::KernelIsa::kNeon}) {
+    const kernels::KernelOps* ops = kernels::KernelOpsFor(isa);
+    if (ops != nullptr) available.push_back(ops);
   }
-  // Ties at capacity: pin CPU exactly on an observed demand value (strict
-  // '>' must exclude the tied rows, in both kernels).
-  catalog::ResourceVector tied = capacities.front();
-  tied.Set(ResourceDim::kCpu,
-           trace.Values(ResourceDim::kCpu)[trace.num_samples() / 2]);
-  capacities.push_back(tied);
-  // Single inverted dimension: latency-only candidate, tied as well
-  // (strict '<' must exclude the tied rows).
-  catalog::ResourceVector latency_only;
-  latency_only.Set(ResourceDim::kIoLatencyMs,
-                   trace.Values(ResourceDim::kIoLatencyMs)[0]);
-  capacities.push_back(latency_only);
+  return available;
+}
 
-  std::vector<double> expected;
-  for (const catalog::ResourceVector& candidate : capacities) {
-    expected.push_back(NaiveRowMajorProbability(trace, candidate));
-  }
-
-  for (int jobs : {1, 2, 8}) {
-    std::optional<exec::ThreadPool> pool;
-    exec::ThreadPool* executor = nullptr;
-    if (jobs > 1) {
-      pool.emplace(jobs);
-      executor = &*pool;
-    }
-    for (const telemetry::TraceStatsCache* stats :
-         {static_cast<const telemetry::TraceStatsCache*>(nullptr), &cache}) {
-      StatusOr<std::vector<double>> batch =
-          estimator_->EstimateCurveProbabilities(trace, capacities, executor,
-                                                 stats);
-      ASSERT_TRUE(batch.ok());
-      ASSERT_EQ(batch->size(), expected.size());
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ((*batch)[i], expected[i])
-            << "candidate " << i << " jobs " << jobs << " stats "
-            << (stats != nullptr);
+// Runs `build` under every available kernel table at 1, 2 and 8 jobs and
+// holds every point's raw probability to the naive oracle over
+// `capacities_of(point.sku)` — exactly, not approximately.
+void ExpectBuildMatchesOracle(
+    const telemetry::PerfTrace& trace,
+    const std::function<StatusOr<core::PricePerformanceCurve>(
+        exec::ThreadPool*)>& build,
+    const std::function<catalog::ResourceVector(const catalog::Sku&)>&
+        capacities_of) {
+  for (const kernels::KernelOps* ops : AvailableKernels()) {
+    kernels::ScopedKernelOverride override(ops);
+    for (int jobs : {1, 2, 8}) {
+      std::optional<exec::ThreadPool> pool;
+      if (jobs > 1) pool.emplace(jobs);
+      StatusOr<core::PricePerformanceCurve> curve =
+          build(pool.has_value() ? &*pool : nullptr);
+      ASSERT_TRUE(curve.ok()) << curve.status().ToString();
+      for (const core::PricePerformancePoint& point : curve->points()) {
+        EXPECT_EQ(point.throttling_probability,
+                  NaiveRowMajorProbability(trace, capacities_of(point.sku)))
+            << point.sku.id << " kernel " << ops->name << " jobs " << jobs;
       }
     }
   }
 }
 
-// Every kernel implementation compiled into this binary must produce the
-// SAME batch curve as the naive row-major oracle — bit-identical, serial
-// and parallel. This is the end-to-end half of the kernel-layer contract
-// (tests/kernel_test.cc pins the per-op half): whatever table the
-// dispatcher picks at startup, probabilities cannot move.
+// The curve build scores each candidate with one columnar scan. Its edge
+// candidates must match the naive row-major reference EXACTLY under every
+// kernel table and job count: a SKU tied at observed demand on a normal
+// dimension (memory, strict '>') and on the inverted one (latency, strict
+// '<'), a single-dimension trace (the count-kernel path), and the MI
+// route's layout IOPS override tied at an observed IOPS value.
+TEST_P(EngineProperty, BatchCurveProbabilitiesMatchNaiveRowMajorReference) {
+  const telemetry::PerfTrace trace = RandomTrace(GetParam());
+  const std::size_t n = trace.num_samples();
+  catalog::SkuCatalog catalog;
+  for (const catalog::Sku& sku : catalog_->skus()) catalog.Add(sku);
+  catalog::Sku tied = catalog_->ForDeployment(Deployment::kSqlDb).front();
+  tied.id = "TIED";
+  tied.max_memory_gb = trace.Values(ResourceDim::kMemoryGb)[n / 2];
+  tied.min_io_latency_ms = trace.Values(ResourceDim::kIoLatencyMs)[0];
+  catalog.Add(tied);
+  const catalog::CompiledCatalog compiled =
+      catalog::CompiledCatalog::Compile(std::move(catalog), pricing_);
+  const catalog::CompiledView db =
+      compiled.ForDeployment(Deployment::kSqlDb).view();
+  const auto sku_capacities = [](const catalog::Sku& sku) {
+    return sku.Capacities();
+  };
+  ExpectBuildMatchesOracle(
+      trace,
+      [&](exec::ThreadPool* executor) {
+        return core::PricePerformanceCurve::Build(trace, db, *pricing_,
+                                                  *estimator_, executor);
+      },
+      sku_capacities);
+
+  telemetry::PerfTrace latency_only;
+  ASSERT_TRUE(latency_only
+                  .SetSeries(ResourceDim::kIoLatencyMs,
+                             trace.Values(ResourceDim::kIoLatencyMs))
+                  .ok());
+  ExpectBuildMatchesOracle(
+      latency_only,
+      [&](exec::ThreadPool* executor) {
+        return core::PricePerformanceCurve::Build(latency_only, db, *pricing_,
+                                                  *estimator_, executor);
+      },
+      sku_capacities);
+
+  const double iops_tie = trace.Values(ResourceDim::kIops)[n / 3];
+  std::vector<core::CompiledCandidateRef> refs;
+  for (const catalog::CompiledEntry& entry :
+       compiled.ForDeployment(Deployment::kSqlMi).view()) {
+    refs.push_back({&entry, iops_tie});
+  }
+  ExpectBuildMatchesOracle(
+      trace,
+      [&](exec::ThreadPool* executor) {
+        return core::PricePerformanceCurve::Build(trace, refs, *pricing_,
+                                                  *estimator_, executor,
+                                                  &compiled.target());
+      },
+      [&](const catalog::Sku& sku) {
+        return sku.CapacitiesWithIopsLimit(iops_tie);
+      });
+}
+
+// Whatever table the dispatcher picks at startup and however many workers
+// share the build, every curve over the whole catalog (both deployments)
+// stays bit-identical to the naive row-major oracle. This is the
+// end-to-end half of the kernel-layer contract (tests/kernel_test.cc pins
+// the per-op half).
 TEST_P(EngineProperty, BatchCurveProbabilitiesAreKernelImplInvariant) {
   const telemetry::PerfTrace trace = RandomTrace(GetParam() + 17);
-  std::vector<catalog::ResourceVector> capacities;
-  for (const catalog::Sku& sku : catalog_->skus()) {
-    capacities.push_back(sku.Capacities());
-  }
-  catalog::ResourceVector tied = capacities.front();
-  tied.Set(ResourceDim::kCpu,
-           trace.Values(ResourceDim::kCpu)[trace.num_samples() / 2]);
-  capacities.push_back(tied);
-
-  std::vector<double> expected;
-  for (const catalog::ResourceVector& candidate : capacities) {
-    expected.push_back(NaiveRowMajorProbability(trace, candidate));
-  }
-
-  for (kernels::KernelIsa isa :
-       {kernels::KernelIsa::kScalar, kernels::KernelIsa::kAvx2,
-        kernels::KernelIsa::kNeon}) {
-    const kernels::KernelOps* ops = kernels::KernelOpsFor(isa);
-    if (ops == nullptr) continue;  // variant not compiled in / CPU lacks it
-    kernels::ScopedKernelOverride override(ops);
-    for (int jobs : {1, 8}) {
-      std::optional<exec::ThreadPool> pool;
-      exec::ThreadPool* executor = nullptr;
-      if (jobs > 1) {
-        pool.emplace(jobs);
-        executor = &*pool;
-      }
-      StatusOr<std::vector<double>> batch =
-          estimator_->EstimateCurveProbabilities(trace, capacities, executor,
-                                                 nullptr);
-      ASSERT_TRUE(batch.ok());
-      ASSERT_EQ(batch->size(), expected.size());
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ((*batch)[i], expected[i])
-            << "candidate " << i << " kernel " << ops->name << " jobs "
-            << jobs;
-      }
-      // The point probability path (mark kernels) must agree too; the
-      // tie-pinned candidate is the sharpest probe.
-      const std::size_t last = capacities.size() - 1;
-      StatusOr<double> point = estimator_->Probability(trace, capacities[last]);
-      ASSERT_TRUE(point.ok());
-      EXPECT_EQ(*point, expected[last]) << "kernel " << ops->name;
-    }
+  for (Deployment deployment : {Deployment::kSqlDb, Deployment::kSqlMi}) {
+    const catalog::CompiledView view =
+        compiled_->ForDeployment(deployment).view();
+    ExpectBuildMatchesOracle(
+        trace,
+        [&](exec::ThreadPool* executor) {
+          return core::PricePerformanceCurve::Build(trace, view, *pricing_,
+                                                    *estimator_, executor);
+        },
+        [](const catalog::Sku& sku) { return sku.Capacities(); });
   }
 }
 

@@ -1,11 +1,9 @@
 // Differential property tests for the streaming telemetry layer
 // (DESIGN.md §13): at every step of a seeded random append/evict schedule
-// the incrementally patched caches (StreamStats sorted order, StreamIndex
-// exceedance bitsets) must be bit-identical / count-identical to a
+// the ring's materialised window and its mean must be bit-identical to a
 // from-scratch rebuild over a shadow copy of the window, and sampled
 // AssessStages runs over the materialised window must render byte-identical
-// JSON to assessments over the shadow. Plus: KLL sketch deterministic
-// error bounds and merge associativity, the monitor's drift-gated
+// JSON to assessments over the shadow. Plus: the monitor's drift-gated
 // stage-mask policy, a seeded DriftPlan soak, a concurrent reader/appender
 // soak (TSan target), and the `doppler monitor` CLI end to end.
 
@@ -18,7 +16,6 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -27,7 +24,6 @@
 #include <gtest/gtest.h>
 
 #include "catalog/resource.h"
-#include "core/exceedance_index.h"
 #include "dma/cli.h"
 #include "dma/pipeline.h"
 #include "dma/preprocess.h"
@@ -35,10 +31,7 @@
 #include "obs/metrics.h"
 #include "serve/spool.h"
 #include "sim/fault_injector.h"
-#include "stream/kll_sketch.h"
 #include "stream/monitor.h"
-#include "stream/stream_index.h"
-#include "stream/stream_stats.h"
 #include "stream/streaming_trace.h"
 #include "telemetry/trace_stats.h"
 #include "util/random.h"
@@ -108,46 +101,25 @@ telemetry::PerfTrace ConstantBatch(std::size_t rows, double cpu_scale = 1.0) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential harness: StreamingTrace + patched caches vs a shadow deque
-// rebuilt from scratch at every step.
+// Differential harness: the StreamingTrace ring vs a shadow deque rebuilt
+// from scratch at every step.
 
 struct Harness {
   std::vector<ResourceDim> dims;
-  std::map<ResourceDim, std::vector<double>> capacities;
   StreamingTrace trace;
-  StreamStats stats;
-  StreamIndex index;
   std::deque<std::vector<double>> shadow;
 
-  Harness(std::vector<ResourceDim> d,
-          std::map<ResourceDim, std::vector<double>> caps,
-          std::size_t capacity)
-      : dims(std::move(d)),
-        capacities(std::move(caps)),
-        trace(dims, capacity),
-        stats(&trace),
-        index(&trace, &stats) {
-    // Memoize every capacity up front (over the empty window) so the whole
-    // schedule exercises the incremental bit-patch path, not set rebuilds.
-    for (const auto& [dim, caps_for_dim] : capacities) {
-      for (double c : caps_for_dim) index.SetFor(dim, c);
-    }
-  }
+  Harness(std::vector<ResourceDim> d, std::size_t capacity)
+      : dims(std::move(d)), trace(dims, capacity) {}
 
   void Append(const std::vector<double>& row) {
     if (trace.full()) Evict();
     shadow.push_back(row);
-    StatusOr<std::uint64_t> seq = trace.Append(row);
-    ASSERT_TRUE(seq.ok()) << seq.status().ToString();
-    stats.OnAppend(*seq);
-    index.OnAppend(*seq);
+    ASSERT_TRUE(trace.Append(row).ok());
   }
 
   void Evict() {
     ASSERT_FALSE(shadow.empty());
-    const std::uint64_t oldest = trace.first_seq();
-    stats.OnEvict(oldest);
-    index.OnEvict(oldest);
     ASSERT_TRUE(trace.PopFront().ok());
     shadow.pop_front();
   }
@@ -164,60 +136,23 @@ struct Harness {
     return out;
   }
 
-  // The full step invariant: materialisation, sorted order, argsort,
-  // quantiles, moments, extremes, per-capacity exceedance counts, and
-  // multi-dimension union counts all equal a from-scratch rebuild.
+  // The step invariant: the materialised window and the window mean the
+  // drift check reads both equal a from-scratch rebuild.
   void Verify() const {
     ASSERT_EQ(trace.size(), shadow.size());
     const telemetry::PerfTrace shadow_trace = ShadowTrace();
     const telemetry::PerfTrace materialized = trace.Materialize();
+    const telemetry::TraceStatsCache rebuilt(shadow_trace);
     for (ResourceDim dim : dims) {
       ASSERT_EQ(materialized.Values(dim), shadow_trace.Values(dim));
-    }
-
-    telemetry::TraceStatsCache rebuilt(shadow_trace);
-    for (ResourceDim dim : dims) {
-      ASSERT_EQ(stats.Sorted(dim), rebuilt.Sorted(dim));
-      const std::vector<std::uint32_t>& perm = rebuilt.Argsort(dim);
-      ASSERT_EQ(stats.SortedSeqs(dim).size(), perm.size());
-      for (std::size_t i = 0; i < perm.size(); ++i) {
-        ASSERT_EQ(stats.RowOf(dim, i), perm[i]) << "sorted position " << i;
-      }
-      for (double q : {0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}) {
-        ASSERT_EQ(stats.Quantile(dim, q), rebuilt.Quantile(dim, q))
-            << "q=" << q;
-      }
-      ASSERT_EQ(stats.Mean(dim), rebuilt.Mean(dim));
-      ASSERT_EQ(stats.StdDev(dim), rebuilt.StdDev(dim));
-      ASSERT_EQ(stats.Min(dim), rebuilt.Min(dim));
-      ASSERT_EQ(stats.Max(dim), rebuilt.Max(dim));
-    }
-
-    const core::ExceedanceIndex fresh(shadow_trace, dims, &rebuilt);
-    for (const auto& [dim, caps_for_dim] : capacities) {
-      for (double c : caps_for_dim) {
-        ASSERT_EQ(index.SetFor(dim, c).count, fresh.SetFor(dim, c).count)
-            << catalog::ResourceDimName(dim) << " capacity " << c;
-      }
-    }
-    for (std::size_t pick = 0; pick < 3; ++pick) {
-      catalog::ResourceVector union_caps;
-      std::size_t which = pick;
-      for (const auto& [dim, caps_for_dim] : capacities) {
-        union_caps.Set(dim, caps_for_dim[which % caps_for_dim.size()]);
-        ++which;
-      }
-      // A dimension absent from the window must be skipped by both sides.
-      union_caps.Set(ResourceDim::kStorageGb, 10.0);
-      ASSERT_EQ(index.CountExceedingUnion(union_caps),
-                fresh.CountExceedingUnion(union_caps));
+      ASSERT_EQ(trace.Mean(dim), rebuilt.Mean(dim))
+          << catalog::ResourceDimName(dim);
     }
   }
 };
 
-// Quantized values make ties (including exact ties AT a capacity) common,
-// so the (value, seq) ordering and the strict exceedance comparisons are
-// exercised on every step, not just on pathological inputs.
+// Quantized values make value ties common on every step, not just on
+// pathological inputs.
 std::vector<double> QuantizedRow(Rng& rng) {
   const double q = std::floor(rng.Uniform() * 8.0) / 4.0;  // {0, .25, .., 1.75}
   const double q2 = std::floor(rng.Uniform() * 8.0) / 4.0;
@@ -226,23 +161,13 @@ std::vector<double> QuantizedRow(Rng& rng) {
   return {0.4 * q, 2.0 + q2, 100.0 + 400.0 * q3, 1.0 + q4};
 }
 
-std::map<ResourceDim, std::vector<double>> DefaultCapacities() {
-  return {
-      {ResourceDim::kCpu, {0.0, 0.2, 0.55, 0.7}},
-      {ResourceDim::kMemoryGb, {2.0, 2.6, 3.0, 3.75}},
-      {ResourceDim::kIops, {100.0, 350.0, 500.0, 800.0}},
-      // Inverted: rows exceed when latency is BELOW the floor.
-      {ResourceDim::kIoLatencyMs, {1.0, 1.5, 2.2, 2.75}},
-  };
-}
-
 std::vector<ResourceDim> DefaultDims() {
   return {ResourceDim::kCpu, ResourceDim::kMemoryGb, ResourceDim::kIops,
           ResourceDim::kIoLatencyMs};
 }
 
 TEST_F(StreamFixture, TenThousandStepScheduleMatchesRebuild) {
-  Harness h(DefaultDims(), DefaultCapacities(), 96);
+  Harness h(DefaultDims(), 96);
   Rng rng(20260808);
   for (int step = 0; step < 10000; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
@@ -286,7 +211,7 @@ TEST_F(StreamFixture, TenThousandStepScheduleMatchesRebuild) {
 TEST(StreamDifferentialTest, TinyWindowEdgesMatchRebuild) {
   // Capacity 4: every append past the fourth wraps a slot; drains hit the
   // single-row and empty states repeatedly.
-  Harness h(DefaultDims(), DefaultCapacities(), 4);
+  Harness h(DefaultDims(), 4);
   Rng rng(7);
   for (int step = 0; step < 400; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
@@ -320,222 +245,22 @@ TEST(StreamingTraceTest, AppendEvictProtocolAndErrors) {
   EXPECT_EQ(*second, 1u);
   EXPECT_EQ(trace.first_seq(), 1u);
   EXPECT_EQ(trace.ValueAt(ResourceDim::kCpu, 1), 0.7);
-  EXPECT_EQ(trace.generation(), 3u);  // 2 appends + 1 evict
+  EXPECT_EQ(trace.Mean(ResourceDim::kCpu), 0.7);
+  EXPECT_EQ(trace.Mean(ResourceDim::kIops), 0.0);  // absent dimension
 
   const telemetry::PerfTrace single = trace.Materialize();
   EXPECT_EQ(single.num_samples(), 1u);
   EXPECT_EQ(single.Values(ResourceDim::kCpu)[0], 0.7);
 }
 
-TEST(StreamStatsTest, RowsPatchedPerTickStaysBounded) {
-  const std::vector<ResourceDim> dims = {ResourceDim::kCpu,
-                                         ResourceDim::kIops};
-  constexpr std::size_t kCapacity = 96;
-  StreamingTrace trace(dims, kCapacity);
-  StreamStats stats(&trace);
-  StreamIndex index(&trace, &stats);
-  Rng rng(11);
-  for (std::size_t i = 0; i < kCapacity; ++i) {
-    StatusOr<std::uint64_t> seq = trace.Append({rng.Uniform(), rng.Uniform()});
-    ASSERT_TRUE(seq.ok());
-    stats.OnAppend(*seq);
-    index.OnAppend(*seq);
-  }
-  const double misses_before = CounterValue("stream.index_misses");
-  const double hits_before = CounterValue("stream.index_hits");
-  for (double c : {0.25, 0.5, 0.75, 0.9}) index.SetFor(ResourceDim::kCpu, c);
-  EXPECT_EQ(CounterValue("stream.index_misses") - misses_before, 4.0);
-  index.SetFor(ResourceDim::kCpu, 0.5);  // memo hit, no rebuild
-  EXPECT_EQ(CounterValue("stream.index_hits") - hits_before, 1.0);
-  EXPECT_EQ(index.MemoSize(ResourceDim::kCpu), 4u);
-
-  // Steady state: one evict + one append per tick. Each charges the two
-  // dimension slots in stats plus the four memoized CPU sets in the index
-  // — far below the window_size * dims a rebuild-per-tick would charge.
-  const double patched_before = CounterValue("stream.rows_patched");
-  constexpr int kTicks = 100;
-  for (int t = 0; t < kTicks; ++t) {
-    const std::uint64_t oldest = trace.first_seq();
-    stats.OnEvict(oldest);
-    index.OnEvict(oldest);
-    ASSERT_TRUE(trace.PopFront().ok());
-    StatusOr<std::uint64_t> seq = trace.Append({rng.Uniform(), rng.Uniform()});
-    ASSERT_TRUE(seq.ok());
-    stats.OnAppend(*seq);
-    index.OnAppend(*seq);
-  }
-  const double per_tick =
-      (CounterValue("stream.rows_patched") - patched_before) / kTicks;
-  EXPECT_LE(per_tick, 16.0);
-  EXPECT_LT(per_tick, static_cast<double>(kCapacity * dims.size()) / 4.0);
-  EXPECT_EQ(index.MemoSize(ResourceDim::kCpu), 4u);  // no memo churn
-}
-
 // ---------------------------------------------------------------------------
-// KLL sketch: deterministic tracked error bound, adversarial streams,
-// merge associativity-within-bound, logarithmic memory.
+// CustomerWindow.
 
-double ExactRank(const std::vector<double>& sorted, double value) {
-  return static_cast<double>(
-      std::lower_bound(sorted.begin(), sorted.end(), value) - sorted.begin());
-}
-
-void CheckSketchAgainstStream(const KllSketch& sketch,
-                              std::vector<double> stream) {
-  std::sort(stream.begin(), stream.end());
-  const double bound = static_cast<double>(sketch.rank_error_bound());
-  ASSERT_EQ(sketch.count(), stream.size());
-  // Probe at every 97th stream item plus the extremes.
-  for (std::size_t i = 0; i < stream.size(); i += 97) {
-    const double v = stream[i];
-    EXPECT_LE(std::fabs(sketch.EstimateRank(v) - ExactRank(stream, v)), bound)
-        << "value " << v;
-  }
-  EXPECT_LE(std::fabs(sketch.EstimateRank(stream.front() - 1.0) - 0.0), bound);
-  EXPECT_LE(std::fabs(sketch.EstimateRank(stream.back() + 1.0) -
-                      static_cast<double>(stream.size())),
-            bound);
-  // Quantiles land within the bound plus one item weight of the target.
-  // A tied value occupies a rank INTERVAL [strictly-less, at-or-below), so
-  // the distance is measured to the interval, not to a point rank.
-  const double max_weight =
-      std::ldexp(1.0, static_cast<int>(sketch.num_levels()) - 1);
-  for (double q : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
-    const double picked = sketch.Quantile(q);
-    const double target = q * static_cast<double>(stream.size());
-    const double lo = ExactRank(stream, picked);
-    const double hi = static_cast<double>(
-        std::upper_bound(stream.begin(), stream.end(), picked) -
-        stream.begin());
-    const double distance =
-        target < lo ? lo - target : (target > hi ? target - hi : 0.0);
-    EXPECT_LE(distance, bound + max_weight) << "q=" << q;
-  }
-}
-
-TEST(KllSketchTest, AdversarialStreamsStayWithinTrackedBound) {
-  constexpr std::size_t kN = 20000;
-  constexpr std::size_t kK = 200;
-
-  std::vector<std::pair<const char*, std::vector<double>>> streams;
-  std::vector<double> ascending(kN), descending(kN), ties(kN), pareto(kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    ascending[i] = static_cast<double>(i);
-    descending[i] = static_cast<double>(kN - i);
-    ties[i] = static_cast<double>(i % 5);
-  }
-  Rng rng(13);
-  for (std::size_t i = 0; i < kN; ++i) pareto[i] = rng.Pareto(1.0, 1.2);
-  streams.emplace_back("ascending", ascending);
-  streams.emplace_back("descending", descending);
-  streams.emplace_back("heavy-ties", ties);
-  streams.emplace_back("pareto", pareto);
-
-  for (const auto& [name, stream] : streams) {
-    SCOPED_TRACE(name);
-    KllSketch sketch(kK, 99);
-    for (double v : stream) sketch.Add(v);
-    // The tracked bound itself stays small: well under 5% of the stream.
-    EXPECT_LE(sketch.rank_error_bound(), kN / 20)
-        << "bound " << sketch.rank_error_bound();
-    ASSERT_NO_FATAL_FAILURE(CheckSketchAgainstStream(sketch, stream));
-  }
-}
-
-TEST(KllSketchTest, SmallStreamsAreExact) {
-  // Below the per-level budget no compaction ever fires: zero error bound
-  // and exact ranks.
-  KllSketch sketch(200, 5);
-  for (int i = 0; i < 150; ++i) sketch.Add(static_cast<double>(i));
-  EXPECT_EQ(sketch.rank_error_bound(), 0u);
-  EXPECT_EQ(sketch.retained(), 150u);
-  EXPECT_EQ(sketch.EstimateRank(75.0), 75.0);
-}
-
-TEST(KllSketchTest, MergeIsAssociativeWithinSummedBounds) {
-  constexpr std::size_t kSegment = 7000;
-  std::vector<double> s1(kSegment), s2(kSegment), s3(kSegment);
-  Rng rng(31);
-  for (std::size_t i = 0; i < kSegment; ++i) {
-    s1[i] = static_cast<double>(i);
-    s2[i] = static_cast<double>(2 * kSegment - i);
-    s3[i] = rng.Pareto(0.5, 1.5);
-  }
-  KllSketch a(128, 1), b(128, 2), c(128, 3);
-  for (double v : s1) a.Add(v);
-  for (double v : s2) b.Add(v);
-  for (double v : s3) c.Add(v);
-
-  KllSketch left = a;
-  left.Merge(b);
-  left.Merge(c);
-  KllSketch right = c;
-  right.Merge(b);
-  right.Merge(a);
-  EXPECT_EQ(left.count(), 3 * kSegment);
-  EXPECT_EQ(right.count(), 3 * kSegment);
-
-  std::vector<double> all;
-  all.reserve(3 * kSegment);
-  all.insert(all.end(), s1.begin(), s1.end());
-  all.insert(all.end(), s2.begin(), s2.end());
-  all.insert(all.end(), s3.begin(), s3.end());
-  // Merge order changes which items survive compaction but never the
-  // guarantee: both orders answer within their own tracked bounds.
-  ASSERT_NO_FATAL_FAILURE(CheckSketchAgainstStream(left, all));
-  ASSERT_NO_FATAL_FAILURE(CheckSketchAgainstStream(right, all));
-}
-
-TEST(KllSketchTest, RetainedStaysLogarithmic) {
-  constexpr std::size_t kN = 200000;
-  constexpr std::size_t kK = 200;
-  KllSketch sketch(kK, 17);
-  for (std::size_t i = 0; i < kN; ++i) {
-    sketch.Add(static_cast<double>(i % 977));
-  }
-  // O(k * log(n/k)) retention: a generous constant still sits orders of
-  // magnitude below the stream length.
-  EXPECT_LE(sketch.retained(), kK * (sketch.num_levels() + 1));
-  EXPECT_LE(sketch.retained(), kN / 40);
-}
-
-// ---------------------------------------------------------------------------
-// CustomerWindow modes.
-
-TEST(CustomerWindowTest, SketchModeClampsRingAndAnswersLifetimeQuantiles) {
-  MonitorOptions options;
-  options.window_rows = 200;        // asks for more than the budget...
-  options.sketch_row_budget = 100;  // ...so the window runs in sketch mode
-  CustomerWindow window("sketchy", {ResourceDim::kCpu}, options);
-  EXPECT_FALSE(window.exact_mode());
-
-  telemetry::PerfTrace batch;
-  std::vector<double> values(150);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    values[i] = static_cast<double>(i);
-  }
-  ASSERT_TRUE(batch.SetSeries(ResourceDim::kCpu, std::move(values)).ok());
-  StatusOr<CustomerWindow::BatchResult> result = window.Append(batch);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->appended, 150u);
-  EXPECT_EQ(result->evicted, 50u);  // ring clamped to the 100-row budget
-  EXPECT_EQ(window.resident_rows(), 100u);
-  EXPECT_EQ(window.total_rows(), 150u);
-
-  // The resident ring holds only rows 50..149, but quantiles summarise the
-  // LIFETIME stream: the sketch still knows about the evicted prefix.
-  const telemetry::PerfTrace resident = window.MaterializeTrace();
-  EXPECT_EQ(resident.Values(ResourceDim::kCpu).front(), 50.0);
-  EXPECT_LE(window.Quantile(ResourceDim::kCpu, 0.0), 1.0);
-  EXPECT_EQ(window.sketch(ResourceDim::kCpu).count(), 150u);
-}
-
-TEST(CustomerWindowTest, ExactModeQuantileMatchesRebuild) {
+TEST(CustomerWindowTest, WindowMeanMatchesRebuild) {
   MonitorOptions options;
   options.window_rows = 64;
   CustomerWindow window("exact", {ResourceDim::kCpu, ResourceDim::kIops},
                         options);
-  ASSERT_TRUE(window.exact_mode());
   Rng rng(23);
   telemetry::PerfTrace batch;
   std::vector<double> cpu(100), iops(100);
@@ -545,17 +270,19 @@ TEST(CustomerWindowTest, ExactModeQuantileMatchesRebuild) {
   }
   ASSERT_TRUE(batch.SetSeries(ResourceDim::kCpu, cpu).ok());
   ASSERT_TRUE(batch.SetSeries(ResourceDim::kIops, iops).ok());
-  ASSERT_TRUE(window.Append(batch).ok());
+  StatusOr<CustomerWindow::BatchResult> result = window.Append(batch);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->evicted, 36u);  // the ring holds exactly window_rows
   EXPECT_EQ(window.resident_rows(), 64u);
+  EXPECT_EQ(window.total_rows(), 100u);
 
   const telemetry::PerfTrace resident = window.MaterializeTrace();
-  telemetry::TraceStatsCache rebuilt(resident);
-  for (double q : {0.0, 0.5, 0.95, 1.0}) {
-    EXPECT_EQ(window.Quantile(ResourceDim::kCpu, q),
-              rebuilt.Quantile(ResourceDim::kCpu, q));
-    EXPECT_EQ(window.Quantile(ResourceDim::kIops, q),
-              rebuilt.Quantile(ResourceDim::kIops, q));
-  }
+  EXPECT_EQ(resident.Values(ResourceDim::kCpu).front(), cpu[36]);
+  const telemetry::TraceStatsCache rebuilt(resident);
+  EXPECT_EQ(window.WindowMean(ResourceDim::kCpu),
+            rebuilt.Mean(ResourceDim::kCpu));
+  EXPECT_EQ(window.WindowMean(ResourceDim::kIops),
+            rebuilt.Mean(ResourceDim::kIops));
 }
 
 // ---------------------------------------------------------------------------
@@ -763,8 +490,8 @@ TEST_F(StreamFixture, DriftSoakTripsAtPlannedTick) {
 
 // ---------------------------------------------------------------------------
 // Concurrency soak (TSan target): one appender streams batches while
-// readers snapshot quantiles, means, exceedance counts and materialised
-// traces through the window's lock.
+// readers snapshot window means and materialised traces through the
+// window's lock.
 
 TEST(StreamConcurrencySoakTest, ReadersRaceAppender) {
   MonitorOptions options;
@@ -799,16 +526,11 @@ TEST(StreamConcurrencySoakTest, ReadersRaceAppender) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&]() {
-      catalog::ResourceVector caps;
-      caps.Set(ResourceDim::kCpu, 0.5);
-      caps.Set(ResourceDim::kIops, 400.0);
       while (!done.load()) {
-        const double q = window.Quantile(ResourceDim::kCpu, 0.9);
-        const double mean = window.WindowMean(ResourceDim::kIops);
-        const std::size_t exceeding = window.CountExceedingUnion(caps);
+        const double cpu = window.WindowMean(ResourceDim::kCpu);
+        const double iops = window.WindowMean(ResourceDim::kIops);
         const telemetry::PerfTrace snapshot = window.MaterializeTrace();
-        if (q < 0.0 || q > 1.0 || mean < 0.0 ||
-            exceeding > options.window_rows ||
+        if (cpu < 0.0 || cpu > 1.0 || iops < 0.0 || iops > 1000.0 ||
             snapshot.num_samples() > options.window_rows) {
           ++failures;
           break;
@@ -822,11 +544,11 @@ TEST(StreamConcurrencySoakTest, ReadersRaceAppender) {
   EXPECT_EQ(window.resident_rows(), 64u);
   EXPECT_EQ(window.total_rows(), kBatches * kRows);
 
-  // After the race, the incremental state still equals a rebuild.
+  // After the race, the window mean still equals a rebuild.
   const telemetry::PerfTrace resident = window.MaterializeTrace();
-  telemetry::TraceStatsCache rebuilt(resident);
-  EXPECT_EQ(window.Quantile(ResourceDim::kCpu, 0.95),
-            rebuilt.Quantile(ResourceDim::kCpu, 0.95));
+  const telemetry::TraceStatsCache rebuilt(resident);
+  EXPECT_EQ(window.WindowMean(ResourceDim::kCpu),
+            rebuilt.Mean(ResourceDim::kCpu));
 }
 
 // ---------------------------------------------------------------------------

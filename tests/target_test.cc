@@ -312,20 +312,8 @@ double NaiveMovingProbability(const telemetry::PerfTrace& trace,
   return static_cast<double>(throttled) / static_cast<double>(n);
 }
 
-// Exposes the base-class row-major scan so the property test pins BOTH
-// implementations (definitional and index-backed) to the oracle.
-struct BaseScanEstimator : core::NonParametricEstimator {
-  StatusOr<double> BaseProbabilityMoving(
-      const telemetry::PerfTrace& trace,
-      const catalog::ResourceVector& capacities,
-      const core::MovingCapacity& moving) const {
-    return core::ThrottlingEstimator::ProbabilityMoving(trace, capacities,
-                                                        moving);
-  }
-};
-
 TEST(MovingCapacityTest, MatchesNaiveRowMajorOracle) {
-  const BaseScanEstimator estimator;
+  const core::NonParametricEstimator estimator;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     SCOPED_TRACE(seed);
     Rng rng(seed * 977);
@@ -348,15 +336,11 @@ TEST(MovingCapacityTest, MatchesNaiveRowMajorOracle) {
       moving.capacity.push_back(rng.Uniform(0.3, 2.8));
     }
 
-    const double oracle = NaiveMovingProbability(trace, capacities, moving);
-    StatusOr<double> base =
-        estimator.BaseProbabilityMoving(trace, capacities, moving);
-    StatusOr<double> indexed =
+    StatusOr<double> probability =
         estimator.ProbabilityMoving(trace, capacities, moving);
-    ASSERT_TRUE(base.ok());
-    ASSERT_TRUE(indexed.ok());
-    EXPECT_EQ(*base, oracle);    // Bit-identical, not approximately equal.
-    EXPECT_EQ(*indexed, oracle);
+    ASSERT_TRUE(probability.ok());
+    // Bit-identical, not approximately equal.
+    EXPECT_EQ(*probability, NaiveMovingProbability(trace, capacities, moving));
   }
 }
 

@@ -23,7 +23,7 @@ Three comparison modes:
     semantics changed, which is never a machine artifact.
   - wall-time speedup (--speedup FAST:SLOW:RATIO): within the FRESH run
     only, benchmark FAST's real_time must be at most SLOW's / RATIO —
-    e.g. the dispatched SIMD union kernel against its forced-scalar
+    e.g. the dispatched SIMD mark kernel against its forced-scalar
     twin. Comparing two benchmarks from the SAME process run cancels
     machine speed, so this is meaningful even where absolute times are
     not. The pair is skipped (with a note) when either side is missing
@@ -52,7 +52,6 @@ DEFAULT_COUNTERS = [
     "ppm.samples_scanned",
     "ppm.samples_scanned.azure-db",
     "ppm.samples_scanned.aws-rds",
-    "stream.rows_patched",
 ]
 DEFAULT_EXACT_COUNTERS = [
     "serve.admitted", "serve.shed", "serve.expired", "obs.flight.recorded",

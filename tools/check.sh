@@ -5,26 +5,25 @@
 #   3. builds with ThreadSanitizer and runs the obs concurrency tests, the
 #      exec thread-pool / fleet determinism suite, the compiled-catalog
 #      / staged-pipeline suites (many workers reading the one shared
-#      compiled snapshot), the exceedance-index suite (shared memo under
-#      concurrent curve evaluation), the serve suite (admission queue,
-#      deadlines, RCU snapshot swaps), and the stream suite (readers
-#      racing the appender on a customer window).
+#      compiled snapshot and scoring one curve), the serve suite
+#      (admission queue, deadlines, RCU snapshot swaps), and the stream
+#      suite (readers racing the appender on a customer window).
 # Usage: tools/check.sh [build-dir] (default build-asan; the TSan tree
 # lands next to it with a -tsan suffix).
 #
 # Bench-regression mode: tools/check.sh --bench [build-dir] (default
-# build) builds bench_perf_engine, runs the assessment + exceedance-index
-# + serve-overload + cross-target benchmarks, and compares the per-curve
+# build) builds bench_perf_engine, runs the assessment + serve-overload +
+# cross-target + kernel benchmarks, and compares the per-curve
 # evaluation-cost counters (ppm.samples_scanned, plus the per-target
 # ppm.samples_scanned.<target-id> splits), the snapshot-compile count
 # (catalog.targets_compiled, exact) and the serving-path admission
 # counters (serve.admitted/shed/expired) against the committed
 # BENCH_pipeline.json
-# via tools/bench_check.py. Counter-based, so it is stable on the 1-CPU
-# container where wall time is not. After an INTENDED cost change,
-# refresh the baseline:
+# via tools/bench_check.py. Counter-based, so it holds on any machine;
+# the one wall-time gate is the within-run SIMD/scalar mark-kernel ratio.
+# After an INTENDED cost change, refresh the baseline:
 #   ./build/bench/bench_perf_engine \
-#     --benchmark_filter='BM_PipelineAssess|BM_CompiledAssess|BM_CrossTargetCurve|BM_ExceedanceIndex|BM_ServeOverload|BM_FlightRecorderOverhead|BM_StreamAppendAssess|BM_RebuildAssess|BM_UnionKernel|BM_KdeBatch' \
+#     --benchmark_filter='BM_PipelineAssess|BM_CompiledAssess|BM_CrossTargetCurve|BM_ServeOverload|BM_FlightRecorderOverhead|BM_MarkKernel|BM_KdeBatch' \
 #     --benchmark_out=BENCH_pipeline.json --benchmark_out_format=json
 #
 # Soak mode: tools/check.sh --soak [build-dir] (default build-soak)
@@ -43,15 +42,16 @@ if [[ "${1:-}" == "--bench" ]]; then
   fresh_json="$(mktemp --suffix=.json)"
   trap 'rm -f "${fresh_json}"' EXIT
   "${bench_build_dir}/bench/bench_perf_engine" \
-    --benchmark_filter='BM_PipelineAssess|BM_CompiledAssess|BM_CrossTargetCurve|BM_ExceedanceIndex|BM_ServeOverload|BM_FlightRecorderOverhead|BM_StreamAppendAssess|BM_RebuildAssess|BM_UnionKernel|BM_KdeBatch' \
+    --benchmark_filter='BM_PipelineAssess|BM_CompiledAssess|BM_CrossTargetCurve|BM_ServeOverload|BM_FlightRecorderOverhead|BM_MarkKernel|BM_KdeBatch' \
     --benchmark_out="${fresh_json}" --benchmark_out_format=json
   # Counter comparison against the committed baseline, plus the kernel
-  # layer's within-run wall-time gate: the dispatched SIMD union kernel
-  # must beat its forced-scalar twin by >=1.25x wherever a SIMD variant
-  # exists (the pair is skipped on scalar-only hosts).
+  # layer's within-run wall-time gate: the dispatched SIMD mark kernel
+  # (the Eq. 1 scan's inner loop) must beat its forced-scalar twin by
+  # >=1.25x wherever a SIMD variant exists (the pair is skipped on
+  # scalar-only hosts).
   python3 "${repo_root}/tools/bench_check.py" \
     "${repo_root}/BENCH_pipeline.json" "${fresh_json}" \
-    --speedup 'BM_UnionKernelSimd/4096:BM_UnionKernelScalar/4096:1.25'
+    --speedup 'BM_MarkKernelSimd/4096:BM_MarkKernelScalar/4096:1.25'
   exit 0
 fi
 
@@ -99,7 +99,6 @@ ctest --test-dir "${build_dir}" --output-on-failure -j"$(nproc)"
 # pinned to the scalar reference (DOPPLER_KERNEL=scalar), so a host whose
 # SIMD path masks a scalar bug — or vice versa — still fails here.
 DOPPLER_KERNEL=scalar "${build_dir}/tests/kernel_test"
-DOPPLER_KERNEL=scalar "${build_dir}/tests/exceedance_index_test"
 DOPPLER_KERNEL=scalar "${build_dir}/tests/stream_test"
 DOPPLER_KERNEL=scalar "${build_dir}/tests/property_test"
 
@@ -114,7 +113,7 @@ cmake -B "${tsan_dir}" -S "${repo_root}" \
 cmake --build "${tsan_dir}" -j"$(nproc)" \
   --target obs_test obs_flight_test exec_test kernel_test \
   compiled_catalog_test target_test \
-  pipeline_stage_test exceedance_index_test serve_test stream_test
+  pipeline_stage_test serve_test stream_test
 TSAN_OPTIONS="halt_on_error=1" "${tsan_dir}/tests/obs_test"
 TSAN_OPTIONS="halt_on_error=1" "${tsan_dir}/tests/obs_flight_test"
 TSAN_OPTIONS="halt_on_error=1" "${tsan_dir}/tests/exec_test"
@@ -122,6 +121,5 @@ TSAN_OPTIONS="halt_on_error=1" "${tsan_dir}/tests/kernel_test"
 TSAN_OPTIONS="halt_on_error=1" "${tsan_dir}/tests/compiled_catalog_test"
 TSAN_OPTIONS="halt_on_error=1" "${tsan_dir}/tests/target_test"
 TSAN_OPTIONS="halt_on_error=1" "${tsan_dir}/tests/pipeline_stage_test"
-TSAN_OPTIONS="halt_on_error=1" "${tsan_dir}/tests/exceedance_index_test"
 TSAN_OPTIONS="halt_on_error=1" "${tsan_dir}/tests/serve_test"
 TSAN_OPTIONS="halt_on_error=1" "${tsan_dir}/tests/stream_test"

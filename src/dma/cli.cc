@@ -23,6 +23,7 @@
 #include "util/logging.h"
 #include "dma/preprocess.h"
 #include "dma/resource_report.h"
+#include "dma/shipped_models.h"
 #include "dma/static_inputs.h"
 #include "quality/quality_gate.h"
 #include "serve/assessment_service.h"
@@ -83,6 +84,13 @@ flag the command does not read is a usage error):
 
 Traces are CSV files with a t_seconds column plus cpu/memory/iops/
 log_rate/io_latency/storage/workers columns (any subset).
+
+Group models: assess, assess-batch, serve, monitor and tco use the model
+shipped in the library for the default catalog (fitted offline, paper
+§4), so a run fits nothing. fit-profiles with its defaults (--customers
+120 --seed 11) writes that same model; --profiles loads a saved model;
+--catalog and --extended fit one on their own catalog, which takes a
+moment.
 
 --quality selects how assess treats dirty telemetry: strict rejects the
 first defect, repair (default) fixes and records every intervention,
@@ -171,22 +179,41 @@ StatusOr<catalog::SkuCatalog> ResolveCatalog(const CliOptions& options) {
   return catalog::BuildAzureLikeCatalog(catalog_options);
 }
 
-// Loads profiles from --profiles, or fits them offline on the fly.
+// Fits a group model offline on `skus`: `doppler fit-profiles`, and the
+// model of a --catalog or --extended catalog.
+StatusOr<core::GroupModel> FitProfiles(const catalog::SkuCatalog& skus,
+                                       catalog::Deployment deployment,
+                                       int customers, std::uint64_t seed) {
+  DOPPLER_TRACE_SPAN("dma.model_fit");
+  const catalog::DefaultPricing pricing;
+  const core::NonParametricEstimator estimator;
+  return FitGroupModelOffline(skus, pricing, estimator, deployment, customers,
+                              seed);
+}
+
+// Loads profiles from --profiles. Without it, the default catalog uses the
+// shipped model, and a --catalog or --extended catalog gets a model fitted
+// offline on it.
 StatusOr<core::GroupModel> ResolveProfiles(const CliOptions& options,
                                            const catalog::SkuCatalog& skus,
                                            catalog::Deployment deployment,
                                            std::ostream& out) {
   const std::string path = options.Get("profiles");
-  if (!path.empty()) return LoadGroupModel(path);
+  if (!path.empty()) {
+    DOPPLER_TRACE_SPAN("dma.model_load");
+    return LoadGroupModel(path);
+  }
+  if (!options.Has("catalog") && !options.Has("extended")) {
+    return DefaultGroupModel(
+        *catalog::TargetRegistry::BuiltIns().Find("azure-db"), deployment);
+  }
   if (!options.Has("json")) {
     // Keep --json output parseable: the note would corrupt the document.
     out << "(no --profiles given; fitting the group model offline, this "
            "takes a moment)\n";
   }
-  const catalog::DefaultPricing pricing;
-  const core::NonParametricEstimator estimator;
-  return FitGroupModelOffline(skus, pricing, estimator, deployment,
-                              /*num_customers=*/120, /*seed=*/11);
+  return FitProfiles(skus, deployment, kDefaultTrainingCustomers,
+                     kDefaultTrainingSeed);
 }
 
 StatusOr<int> RunCatalog(const CliOptions& options, std::ostream& out) {
@@ -214,23 +241,20 @@ StatusOr<int> RunCatalog(const CliOptions& options, std::ostream& out) {
 StatusOr<int> RunFitProfiles(const CliOptions& options, std::ostream& out) {
   DOPPLER_ASSIGN_OR_RETURN(catalog::Deployment deployment,
                            ParseDeployment(options.Get("deployment", "db")));
-  int customers = 150;
+  int customers = kDefaultTrainingCustomers;
   if (options.Has("customers")) {
     DOPPLER_ASSIGN_OR_RETURN(
         customers, ParsePositiveInt(options.Get("customers"), "--customers"));
   }
-  int seed = 11;
+  std::uint64_t seed = kDefaultTrainingSeed;
   if (options.Has("seed")) {
-    DOPPLER_ASSIGN_OR_RETURN(seed,
+    DOPPLER_ASSIGN_OR_RETURN(const int parsed,
                              ParsePositiveInt(options.Get("seed"), "--seed"));
+    seed = static_cast<std::uint64_t>(parsed);
   }
   DOPPLER_ASSIGN_OR_RETURN(catalog::SkuCatalog skus, ResolveCatalog(options));
-  const catalog::DefaultPricing pricing;
-  const core::NonParametricEstimator estimator;
-  DOPPLER_ASSIGN_OR_RETURN(
-      core::GroupModel model,
-      FitGroupModelOffline(skus, pricing, estimator, deployment, customers,
-                           static_cast<std::uint64_t>(seed)));
+  DOPPLER_ASSIGN_OR_RETURN(core::GroupModel model,
+                           FitProfiles(skus, deployment, customers, seed));
   const std::string out_path = options.Get("out");
   if (!out_path.empty()) {
     DOPPLER_RETURN_IF_ERROR(SaveGroupModel(model, out_path));
@@ -305,11 +329,6 @@ StatusOr<int> RunAssessTargets(const CliOptions& options,
   DOPPLER_ASSIGN_OR_RETURN(
       const std::vector<const catalog::TargetSpec*> targets,
       ResolveTargets(options.Get("targets")));
-  if (!options.Has("json")) {
-    out << "(comparing " << targets.size()
-        << " targets; each fits its group model offline, this takes a "
-           "moment)\n";
-  }
   DOPPLER_ASSIGN_OR_RETURN(const CrossTargetReport report,
                            AssessAcrossTargets(trace, targets));
   if (options.Has("json")) {
@@ -559,7 +578,7 @@ StatusOr<std::shared_ptr<const SkuRecommendationPipeline>> BuildSnapshot(
 
 // Builds one pipeline per requested target id (serve --targets): each
 // target's own catalog is compiled into its own CompiledCatalog snapshot,
-// with a group model fitted offline on that catalog. The list is
+// with that target's default group model. The list is
 // published under one SnapshotRegistry epoch, so every target serves from
 // the same generation.
 StatusOr<serve::TargetPipelineList> BuildTargetPipelines(
@@ -570,19 +589,14 @@ StatusOr<serve::TargetPipelineList> BuildTargetPipelines(
   serve::TargetPipelineList pipelines;
   pipelines.reserve(specs.size());
   for (const catalog::TargetSpec* spec : specs) {
-    catalog::SkuCatalog skus = spec->build_catalog();
-    const catalog::DefaultPricing pricing;
-    const core::NonParametricEstimator estimator;
-    DOPPLER_ASSIGN_OR_RETURN(
-        core::GroupModel profiles,
-        FitGroupModelOffline(skus, pricing, estimator, spec->deployment,
-                             /*num_customers=*/120, /*seed=*/11));
+    DOPPLER_ASSIGN_OR_RETURN(core::GroupModel profiles,
+                             DefaultGroupModel(*spec, spec->deployment));
     SkuRecommendationPipeline::Config config;
     config.target = spec;
     DOPPLER_ASSIGN_OR_RETURN(
         SkuRecommendationPipeline pipeline,
         SkuRecommendationPipeline::Create(
-            {std::move(skus), std::move(profiles)}, config));
+            {spec->build_catalog(), std::move(profiles)}, config));
     pipelines.emplace_back(spec->id,
                            std::make_shared<const SkuRecommendationPipeline>(
                                std::move(pipeline)));

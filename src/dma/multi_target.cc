@@ -9,7 +9,7 @@
 #include "core/negotiability.h"
 #include "core/profiler.h"
 #include "core/throttling.h"
-#include "dma/preprocess.h"
+#include "dma/shipped_models.h"
 #include "stats/descriptive.h"
 #include "util/json_writer.h"
 #include "util/string_util.h"
@@ -20,12 +20,11 @@ namespace doppler::dma {
 
 namespace {
 
-// Assesses one target end to end: compile its spec, fit its offline group
+// Assesses one target end to end: compile its spec, take its default group
 // model, recommend, then cost the pick under every pricing model the spec
 // offers.
 TargetAssessment AssessOneTarget(const telemetry::PerfTrace& trace,
-                                 const catalog::TargetSpec& spec,
-                                 const CrossTargetOptions& options) {
+                                 const catalog::TargetSpec& spec) {
   TargetAssessment assessment;
   assessment.target_id = spec.id;
   assessment.display_name = spec.display_name;
@@ -42,9 +41,8 @@ TargetAssessment AssessOneTarget(const telemetry::PerfTrace& trace,
       catalog::CompiledCatalog::CompileTarget(spec, &pricing);
   const core::NonParametricEstimator estimator;
 
-  StatusOr<core::GroupModel> model = FitGroupModelOffline(
-      compiled.catalog(), pricing, estimator, spec.deployment,
-      options.training_customers, options.training_seed);
+  StatusOr<core::GroupModel> model =
+      DefaultGroupModel(spec, spec.deployment);
   if (!model.ok()) {
     assessment.status = model.status();
     return assessment;
@@ -124,7 +122,7 @@ StatusOr<CrossTargetReport> AssessAcrossTargets(
 
   for (const catalog::TargetSpec* spec : targets) {
     if (spec == nullptr) return InvalidArgumentError("null target spec");
-    report.targets.push_back(AssessOneTarget(trace, *spec, options));
+    report.targets.push_back(AssessOneTarget(trace, *spec));
   }
 
   for (std::size_t i = 0; i < report.targets.size(); ++i) {

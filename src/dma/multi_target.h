@@ -61,11 +61,6 @@ struct CrossTargetReport {
 };
 
 struct CrossTargetOptions {
-  /// Synthetic training-fleet size/seed for the per-target offline group
-  /// model fit (same machinery as single-target assess without
-  /// --profiles).
-  int training_customers = 120;
-  std::uint64_t training_seed = 11;
   tco::OnPremCostModel on_prem;
 };
 

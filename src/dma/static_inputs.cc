@@ -1,5 +1,6 @@
 #include "dma/static_inputs.h"
 
+#include <charconv>
 #include <cstdlib>
 
 #include "util/string_util.h"
@@ -15,6 +16,15 @@ StatusOr<double> ParseNumber(const std::string& text) {
     return InvalidArgumentError("not a number: '" + text + "'");
   }
   return value;
+}
+
+// The shortest text that parses back to exactly `value`, so a saved group
+// model loads bit-identical to the fitted one.
+std::string RoundTripDouble(double value) {
+  char buffer[32];
+  const std::to_chars_result result =
+      std::to_chars(buffer, buffer + sizeof(buffer), value);
+  return std::string(buffer, result.ptr);
 }
 
 StatusOr<int> ParseInt(const std::string& text) {
@@ -38,12 +48,12 @@ CsvTable GroupModelToCsv(const core::GroupModel& model) {
   CsvTable table({"group_id", "count", "mean_probability",
                   "std_probability"});
   // The global mean travels as a pseudo-row keyed -1.
-  (void)table.AddRow({"-1", "0", FormatDouble(model.global_mean(), 9), "0"});
+  (void)table.AddRow({"-1", "0", RoundTripDouble(model.global_mean()), "0"});
   for (const core::GroupStats& stats : model.AllGroups()) {
     (void)table.AddRow({std::to_string(stats.group_id),
                         std::to_string(stats.count),
-                        FormatDouble(stats.mean_probability, 9),
-                        FormatDouble(stats.std_probability, 9)});
+                        RoundTripDouble(stats.mean_probability),
+                        RoundTripDouble(stats.std_probability)});
   }
   return table;
 }

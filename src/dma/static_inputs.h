@@ -19,7 +19,8 @@ namespace doppler::dma {
 
 /// Group-model <-> CSV. Columns: group_id, count, mean_probability,
 /// std_probability; the global mean rides in a pseudo-row with
-/// group_id = -1.
+/// group_id = -1. Probabilities are written in shortest round-trip form,
+/// so a saved model loads bit-identical to the one saved.
 CsvTable GroupModelToCsv(const core::GroupModel& model);
 StatusOr<core::GroupModel> GroupModelFromCsv(const CsvTable& table);
 Status SaveGroupModel(const core::GroupModel& model, const std::string& path);

@@ -1,16 +1,22 @@
 // Tests for the capacity-forecast module and the command-line front-end.
 
 #include <algorithm>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bitwise_model.h"
+#include "private_temp_dir.h"
 #include "catalog/catalog.h"
 #include "catalog/compiled_catalog.h"
 #include "core/forecast.h"
 #include "dma/cli.h"
+#include "dma/shipped_models.h"
+#include "dma/static_inputs.h"
 #include "telemetry/trace_io.h"
 #include "util/csv.h"
 #include "util/random.h"
@@ -183,9 +189,11 @@ TEST(CliRunTest, HelpAndUnknownCommand) {
 // Each case below used to exit 0 and silently do nothing.
 
 TEST(CliRunTest, MonitorRejectsNonFiniteDriftTolerance) {
+  const PrivateTempDir spool;
+  ASSERT_FALSE(spool.path().empty());
   for (const char* tolerance : {"nan", "inf"}) {
     std::ostringstream out;
-    EXPECT_EQ(dma::CliMain({"monitor", "--spool", testing::TempDir(),
+    EXPECT_EQ(dma::CliMain({"monitor", "--spool", spool.path(),
                             "--drift-tolerance", tolerance},
                            out),
               3)
@@ -197,8 +205,10 @@ TEST(CliRunTest, MonitorRejectsNonFiniteDriftTolerance) {
 
 TEST(CliRunTest, MonitorRejectsWindowShorterThanAssessThreshold) {
   // The default --min-assess-rows (288) can never fit a 100-row window.
+  const PrivateTempDir spool;
+  ASSERT_FALSE(spool.path().empty());
   std::ostringstream out;
-  EXPECT_EQ(dma::CliMain({"monitor", "--spool", testing::TempDir(),
+  EXPECT_EQ(dma::CliMain({"monitor", "--spool", spool.path(),
                           "--window-rows", "100"},
                          out),
             3);
@@ -219,8 +229,9 @@ void ExpectUnknownFlag(const std::vector<std::string>& args,
 }
 
 TEST(CliRunTest, RejectsUnknownFlag) {
-  ExpectUnknownFlag({"monitor", "--spool", testing::TempDir(), "--bogus-flag",
-                     "3"},
+  const PrivateTempDir spool;
+  ASSERT_FALSE(spool.path().empty());
+  ExpectUnknownFlag({"monitor", "--spool", spool.path(), "--bogus-flag", "3"},
                     "bogus-flag");
   // Global flags stay accepted by every command.
   EXPECT_TRUE(dma::ParseCliArgs({"monitor", "--spool", "d", "--log-level",
@@ -230,25 +241,31 @@ TEST(CliRunTest, RejectsUnknownFlag) {
 }
 
 TEST(CliRunTest, RejectsRetiredSketchBudgetFlag) {
-  ExpectUnknownFlag({"monitor", "--spool", testing::TempDir(),
-                     "--sketch-budget", "10"},
+  const PrivateTempDir spool;
+  ASSERT_FALSE(spool.path().empty());
+  ExpectUnknownFlag({"monitor", "--spool", spool.path(), "--sketch-budget",
+                     "10"},
                     "sketch-budget");
 }
 
 TEST(CliRunTest, RejectsMisspelledFlag) {
-  ExpectUnknownFlag({"assess-batch", "--traces", testing::TempDir(), "--jbos",
-                     "4"},
+  const PrivateTempDir traces;
+  ASSERT_FALSE(traces.path().empty());
+  ExpectUnknownFlag({"assess-batch", "--traces", traces.path(), "--jbos", "4"},
                     "jbos");
 }
 
 class CliFlowTest : public ::testing::Test {
  protected:
   static std::string TempPath(const char* name) {
-    return testing::TempDir() + "/" + name;
+    return dir_->path() + "/" + name;
   }
 
-  // Stage a trace file once for the suite.
+  // Stage a trace file once for the suite, in this process's own
+  // directory.
   static void SetUpTestSuite() {
+    dir_ = new PrivateTempDir();
+    ASSERT_FALSE(dir_->path().empty());
     Rng rng(31);
     workload::WorkloadSpec spec;
     spec.name = "cli";
@@ -264,7 +281,15 @@ class CliFlowTest : public ::testing::Test {
     ASSERT_TRUE(
         telemetry::WriteTraceFile(*trace, TempPath("cli_trace.csv")).ok());
   }
+  static void TearDownTestSuite() {
+    delete dir_;
+    dir_ = nullptr;
+  }
+
+  static PrivateTempDir* dir_;
 };
+
+PrivateTempDir* CliFlowTest::dir_ = nullptr;
 
 TEST_F(CliFlowTest, CatalogDumpAndReload) {
   std::ostringstream out;
@@ -299,6 +324,59 @@ TEST_F(CliFlowTest, FitProfilesThenAssessFromFiles) {
   // No on-the-fly fitting message: profiles came from the file.
   EXPECT_EQ(report.find("fitting the group model offline"),
             std::string::npos);
+}
+
+// With its default flags, fit-profiles writes the model a plain `assess`
+// ships: it loads back bit-identical to DefaultGroupModel.
+TEST_F(CliFlowTest, DefaultFitProfilesLoadsBackAsTheShippedModel) {
+  const catalog::TargetSpec& azure =
+      *catalog::TargetRegistry::BuiltIns().Find("azure-db");
+  for (const auto& [flag, deployment] :
+       {std::pair{"db", Deployment::kSqlDb},
+        std::pair{"mi", Deployment::kSqlMi}}) {
+    SCOPED_TRACE(flag);
+    std::ostringstream fit;
+    ASSERT_EQ(dma::CliMain({"fit-profiles", "--deployment", flag, "--out",
+                            TempPath("cli_prof_default.csv")},
+                           fit),
+              0)
+        << fit.str();
+    StatusOr<core::GroupModel> loaded =
+        dma::LoadGroupModel(TempPath("cli_prof_default.csv"));
+    StatusOr<core::GroupModel> shipped =
+        dma::DefaultGroupModel(azure, deployment);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_TRUE(shipped.ok()) << shipped.status().ToString();
+    ExpectBitIdentical(*loaded, *shipped);
+  }
+}
+
+// The model phase is named in the trace: a plain assess loads the shipped
+// model, and --extended fits one on its own catalog.
+TEST_F(CliFlowTest, TracedAssessNamesTheModelPhase) {
+  for (const bool extended : {false, true}) {
+    SCOPED_TRACE(extended ? "--extended" : "default catalog");
+    std::vector<std::string> args = {"assess", "--trace",
+                                     TempPath("cli_trace.csv"), "--json",
+                                     "--trace-out", TempPath("cli_spans.json")};
+    if (extended) args.push_back("--extended");
+    std::ostringstream out;
+    ASSERT_EQ(dma::CliMain(args, out), 0) << out.str();
+    std::ifstream in(TempPath("cli_spans.json"));
+    const std::string trace((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    const auto spans = [&trace](const std::string& name) {
+      const std::string key = "\"name\":\"" + name + "\"";
+      std::size_t count = 0;
+      for (std::size_t at = trace.find(key); at != std::string::npos;
+           at = trace.find(key, at + 1)) {
+        ++count;
+      }
+      return count;
+    };
+    EXPECT_EQ(spans("dma.model_load"), extended ? 0u : 1u);
+    EXPECT_EQ(spans("dma.model_fit"), extended ? 1u : 0u);
+  }
 }
 
 TEST_F(CliFlowTest, AssessRequiresTrace) {

@@ -9,23 +9,36 @@
 //
 //   DOPPLER_UPDATE_GOLDEN=1 ./golden_report_test
 //
-// rewrites examples/golden/*.json (and monitor_drift.jsonl) in the source
-// tree; review the diff like any other code change.
+// rewrites examples/golden/*.json (and monitor_drift.jsonl,
+// cli_default.jsonl) and the shipped group-model table
+// src/dma/shipped_models.inc in the source tree; review the diff like any
+// other code change. A new table takes effect only after a rebuild, so
+// after regenerating it, rebuild and run the update once more to render
+// cli_default.jsonl from it.
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bitwise_model.h"
 #include "catalog/catalog.h"
 #include "core/throttling.h"
+#include "dma/cli.h"
 #include "dma/pipeline.h"
 #include "dma/preprocess.h"
 #include "dma/resource_report.h"
+#include "dma/shipped_models.h"
+#include "obs/trace.h"
 #include "quality/quality_gate.h"
 #include "stream/monitor.h"
 #include "workload/generator.h"
@@ -217,6 +230,149 @@ TEST_F(GoldenReportTest, MonitorDriftEventsMatchGolden) {
     }
   }
   CompareWithGolden("monitor_drift.jsonl", rendered);
+}
+
+// The path DMA actually runs: `doppler assess` without --profiles, so the
+// CLI resolves its own group model, for the single-target DB and MI
+// reports and the cross-target comparison. Every canonical trace is
+// assessed in-process through CliMain. Wall-clock "seconds" are zeroed and
+// the source-tree prefix is dropped from customer ids, so the lines are the
+// same run to run and checkout to checkout.
+TEST_F(GoldenReportTest, CliDefaultPathMatchesGolden) {
+  std::vector<std::string> traces;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(DOPPLER_SOURCE_DIR) + "/examples/traces")) {
+    if (entry.path().extension() == ".csv") {
+      traces.push_back(entry.path().string());
+    }
+  }
+  std::sort(traces.begin(), traces.end());
+  ASSERT_FALSE(traces.empty());
+  const std::vector<std::vector<std::string>> variants = {
+      {"--json", "--confidence"},
+      {"--target", "mi", "--json"},
+      {"--targets", "azure-db,aws-rds", "--json"}};
+  const std::regex seconds("\"seconds\":[-+.0-9eE]+");
+  const std::string source_prefix =
+      "\"customer_id\":\"" + std::string(DOPPLER_SOURCE_DIR) + "/";
+  std::string rendered;
+  for (const std::string& trace : traces) {
+    for (const std::vector<std::string>& flags : variants) {
+      std::vector<std::string> args = {"assess", "--trace", trace};
+      args.insert(args.end(), flags.begin(), flags.end());
+      std::ostringstream out;
+      ASSERT_EQ(dma::CliMain(args, out), 0) << out.str();
+      std::string line =
+          std::regex_replace(out.str(), seconds, "\"seconds\":0");
+      for (std::size_t at = line.find(source_prefix); at != std::string::npos;
+           at = line.find(source_prefix, at)) {
+        line.replace(at, source_prefix.size(), "\"customer_id\":\"");
+      }
+      rendered += line;
+    }
+  }
+  CompareWithGolden("cli_default.jsonl", rendered);
+}
+
+// The exact C++ literal of `value`, e.g. 0x1.8p-4.
+std::string HexFloat(double value) {
+  char digits[32];
+  const std::to_chars_result result =
+      std::to_chars(digits, digits + sizeof(digits), std::fabs(value),
+                    std::chars_format::hex);
+  return (std::signbit(value) ? "-0x" : "0x") +
+         std::string(digits, result.ptr);
+}
+
+// One row of src/dma/shipped_models.inc (see ShippedRow there).
+std::string ShippedRowLiteral(const std::string& target_id,
+                              Deployment deployment, int group_id, int count,
+                              double mean, double std_dev) {
+  return "{\"" + target_id + "\", catalog::Deployment::" +
+         (deployment == Deployment::kSqlDb ? "kSqlDb" : "kSqlMi") + ", " +
+         std::to_string(group_id) + ", " + std::to_string(count) + ", " +
+         HexFloat(mean) + ", " + HexFloat(std_dev) + "},\n";
+}
+
+// The number of buffered spans named `name`.
+std::size_t SpanCount(const std::string& name) {
+  std::size_t count = 0;
+  for (const obs::SpanRecord& span : obs::SnapshotSpans()) {
+    count += span.name == name;
+  }
+  return count;
+}
+
+// The group models the library ships as compiled constants must be
+// bit-identical to a fresh offline fit on the default training fleet, and
+// must answer without fitting. DOPPLER_UPDATE_GOLDEN=1 rewrites the table
+// from the fit; rebuild afterwards.
+TEST(ShippedModelTest, ShippedModelsAreBitIdenticalToARefit) {
+  const std::pair<const char*, Deployment> kShipped[] = {
+      {"azure-db", Deployment::kSqlDb},
+      {"azure-db", Deployment::kSqlMi},
+      {"aws-rds", Deployment::kSqlDb}};
+  std::string table =
+      "// Generated by golden_report_test under DOPPLER_UPDATE_GOLDEN=1 from\n"
+      "// FitGroupModelOffline(spec.build_catalog(), DefaultPricing,\n"
+      "// NonParametricEstimator, deployment, " +
+      std::to_string(dma::kDefaultTrainingCustomers) + ", " +
+      std::to_string(dma::kDefaultTrainingSeed) +
+      "). Do not edit.\n"
+      "// {target id, deployment, group id (-1: global mean), count,\n"
+      "//  mean probability, std probability}\n";
+  const catalog::DefaultPricing pricing;
+  const core::NonParametricEstimator estimator;
+  for (const auto& [id, deployment] : kShipped) {
+    SCOPED_TRACE(std::string(id) + " " + catalog::DeploymentName(deployment));
+    const catalog::TargetSpec* spec =
+        catalog::TargetRegistry::BuiltIns().Find(id);
+    ASSERT_NE(spec, nullptr);
+    StatusOr<core::GroupModel> refit = dma::FitGroupModelOffline(
+        spec->build_catalog(), pricing, estimator, deployment,
+        dma::kDefaultTrainingCustomers, dma::kDefaultTrainingSeed);
+    ASSERT_TRUE(refit.ok()) << refit.status().ToString();
+    table += ShippedRowLiteral(id, deployment, -1, 0, refit->global_mean(),
+                               0.0);
+    for (const core::GroupStats& group : refit->AllGroups()) {
+      table += ShippedRowLiteral(id, deployment, group.group_id, group.count,
+                                 group.mean_probability,
+                                 group.std_probability);
+    }
+    if (UpdateMode()) continue;
+
+    obs::SetTracingEnabled(true);
+    obs::ClearTraceBuffer();
+    StatusOr<core::GroupModel> shipped =
+        dma::DefaultGroupModel(*spec, deployment);
+    obs::SetTracingEnabled(false);
+    ASSERT_TRUE(shipped.ok()) << shipped.status().ToString();
+    EXPECT_EQ(SpanCount("dma.model_load"), 1u);
+    EXPECT_EQ(SpanCount("dma.model_fit"), 0u);
+    ExpectBitIdentical(*shipped, *refit);
+  }
+  if (UpdateMode()) {
+    const Status written = WriteFile(
+        std::string(DOPPLER_SOURCE_DIR) + "/src/dma/shipped_models.inc",
+        table);
+    ASSERT_TRUE(written.ok()) << written.ToString();
+    GTEST_SKIP() << "shipped_models.inc regenerated; rebuild to use it";
+  }
+}
+
+// Only the registry's own entries answer from the table: a copy of a
+// built-in spec could build any catalog, so it is fitted.
+TEST(ShippedModelTest, CopiesOfBuiltInSpecsAreFitted) {
+  const catalog::TargetSpec copy =
+      *catalog::TargetRegistry::BuiltIns().Find("azure-db");
+  obs::SetTracingEnabled(true);
+  obs::ClearTraceBuffer();
+  StatusOr<core::GroupModel> model =
+      dma::DefaultGroupModel(copy, Deployment::kSqlDb);
+  obs::SetTracingEnabled(false);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  EXPECT_EQ(SpanCount("dma.model_fit"), 1u);
+  EXPECT_EQ(SpanCount("dma.model_load"), 0u);
 }
 
 // The report must not depend on which identically-configured pipeline

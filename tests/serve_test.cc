@@ -711,9 +711,10 @@ TEST_F(ServeFixture, IngestRetryGivesUpAtDeadline) {
 // ------------------------------------------------------------------- Soak.
 
 // The deterministic overload soak (tools/check.sh --soak runs this suite
-// under TSan): three submitter threads race 36 requests — a third of them
-// pre-expired — against a 2-worker service with a shallow queue while a
-// fourth thread keeps swapping snapshots. Assertions:
+// under TSan): after one pre-expired request on the idle service, three
+// submitter threads race 36 requests — a third of them pre-expired —
+// against a 2-worker service with a shallow queue while a fourth thread
+// keeps swapping snapshots. Assertions:
 //   - every Submit either sheds with kResourceExhausted or yields a future
 //     that resolves to a terminal status (no hangs, no lost requests);
 //   - completed requests are byte-identical to a single-threaded run
@@ -736,7 +737,7 @@ TEST_F(ServeFixture, SoakOverloadEveryRequestReachesTerminalStatus) {
   serve::ServiceOptions options;
   options.workers = 2;
   options.queue_depth = 4;
-  // Journal every terminal fate; default capacities exceed the soak's 36
+  // Journal every terminal fate; default capacities exceed the soak's 37
   // requests, so the retained records are the complete population and the
   // journal accounting below is exact, not sampled.
   obs::FlightRecorder recorder;
@@ -747,6 +748,18 @@ TEST_F(ServeFixture, SoakOverloadEveryRequestReachesTerminalStatus) {
   std::vector<std::pair<std::uint64_t, std::future<serve::ServeResponse>>>
       futures;  // (seed, future)
   std::atomic<std::uint64_t> shed{0};
+
+  // One pre-expired request on the idle service: the queue has room, so it
+  // is admitted and must expire, however the submitters below are
+  // scheduled.
+  {
+    dma::AssessmentRequest request = ServeRequest(0);
+    request.deadline = Deadline::Expired();
+    StatusOr<std::future<serve::ServeResponse>> submitted =
+        service.Submit(std::move(request));
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    futures.emplace_back(0, std::move(*submitted));
+  }
 
   std::atomic<bool> stop_swapping{false};
   // Epoch parity encodes the generation: odd = A (epoch 1 is the initial
@@ -808,7 +821,7 @@ TEST_F(ServeFixture, SoakOverloadEveryRequestReachesTerminalStatus) {
 
   const serve::AssessmentService::Stats stats = service.stats();
   EXPECT_EQ(stats.submitted,
-            static_cast<std::uint64_t>(kSubmitters * kPerSubmitter));
+            static_cast<std::uint64_t>(kSubmitters * kPerSubmitter + 1));
   EXPECT_EQ(stats.shed, shed.load());
   EXPECT_EQ(stats.admitted, stats.submitted - stats.shed);
   EXPECT_EQ(stats.admitted, futures.size());
@@ -816,7 +829,8 @@ TEST_F(ServeFixture, SoakOverloadEveryRequestReachesTerminalStatus) {
   EXPECT_EQ(stats.expired, expired);
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(stats.admitted, completed + expired);
-  // At least the pre-expired requests must have hit the deadline path.
+  // At least the request submitted to the idle service hit the deadline
+  // path.
   EXPECT_GT(expired, 0u);
 
   // Journal accounting matches the admission identity exactly: one record

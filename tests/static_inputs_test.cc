@@ -3,8 +3,12 @@
 // extension dimension (§3.2: the throttling definition extends as more
 // counters become available).
 
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "bitwise_model.h"
+#include "private_temp_dir.h"
 #include "catalog/catalog.h"
 #include "core/throttling.h"
 #include "dma/pipeline.h"
@@ -23,32 +27,25 @@ using catalog::ResourceDim;
 
 TEST(StaticInputsTest, GroupModelRoundTrip) {
   core::GroupModel model = *core::GroupModel::Fit(
-      {{0, 0.10}, {0, 0.20}, {3, 0.02}, {7, 0.001}});
+      {{0, 0.10}, {0, 0.20}, {3, 0.02}, {7, 0.001}, {7, 1.0 / 3.0}});
   StatusOr<core::GroupModel> loaded =
       dma::GroupModelFromCsv(dma::GroupModelToCsv(model));
   ASSERT_TRUE(loaded.ok());
-  for (int group : {0, 3, 7}) {
-    EXPECT_NEAR(loaded->TargetProbability(group),
-                model.TargetProbability(group), 1e-9)
-        << group;
-  }
+  ExpectBitIdentical(*loaded, model);
   // Unseen groups fall back to the same global mean.
-  EXPECT_NEAR(loaded->TargetProbability(12), model.TargetProbability(12),
-              1e-9);
-  // Counts and stds survive.
-  const std::vector<core::GroupStats> stats = loaded->AllGroups();
-  ASSERT_EQ(stats.size(), 3u);
-  EXPECT_EQ(stats[0].count, 2);
-  EXPECT_NEAR(stats[0].std_probability, 0.05, 1e-9);
+  EXPECT_EQ(Bits(loaded->TargetProbability(12)),
+            Bits(model.TargetProbability(12)));
 }
 
 TEST(StaticInputsTest, GroupModelFileRoundTrip) {
-  core::GroupModel model = *core::GroupModel::Fit({{1, 0.05}});
-  const std::string path = testing::TempDir() + "/doppler_groups.csv";
+  core::GroupModel model = *core::GroupModel::Fit({{1, 0.05}, {1, 0.07}});
+  const PrivateTempDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string path = dir.path() + "/doppler_groups.csv";
   ASSERT_TRUE(dma::SaveGroupModel(model, path).ok());
   StatusOr<core::GroupModel> loaded = dma::LoadGroupModel(path);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_NEAR(loaded->TargetProbability(1), 0.05, 1e-9);
+  ExpectBitIdentical(*loaded, model);
 }
 
 TEST(StaticInputsTest, GroupModelRejectsMalformedCsv) {
@@ -106,8 +103,10 @@ TEST(StaticInputsTest, CatalogRoundTripPreservesEverySku) {
 TEST(StaticInputsTest, CatalogFileRoundTripFeedsPipeline) {
   // Offline job writes both artefacts; the appliance cold-starts from
   // files alone.
-  const std::string catalog_path = testing::TempDir() + "/doppler_skus.csv";
-  const std::string groups_path = testing::TempDir() + "/doppler_prof.csv";
+  const PrivateTempDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string catalog_path = dir.path() + "/doppler_skus.csv";
+  const std::string groups_path = dir.path() + "/doppler_prof.csv";
   ASSERT_TRUE(
       dma::SaveCatalog(catalog::BuildAzureLikeCatalog(), catalog_path).ok());
   core::GroupModel model = *core::GroupModel::Fit({{0, 0.02}, {5, 0.08}});

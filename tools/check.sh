@@ -27,10 +27,12 @@
 #     --benchmark_out=BENCH_pipeline.json --benchmark_out_format=json
 #
 # Soak mode: tools/check.sh --soak [build-dir] (default build-soak)
-# builds the serve and stream suites under ThreadSanitizer and repeats
+# builds the serve, stream and CLI suites under ThreadSanitizer, repeats
 # the deterministic soaks (concurrent submitters + snapshot swaps +
 # pre-expired deadlines; stream readers racing the appender) so races in
-# the serving and streaming paths fail loudly.
+# the serving and streaming paths fail loudly, and repeats the CLI cases
+# at 4x oversubscription so a test that shares files across processes
+# fails here, not at random.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -60,7 +62,8 @@ if [[ "${1:-}" == "--soak" ]]; then
   cmake -B "${soak_dir}" -S "${repo_root}" \
     -DDOPPLER_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build "${soak_dir}" -j"$(nproc)" --target serve_test stream_test
+  cmake --build "${soak_dir}" -j"$(nproc)" \
+    --target serve_test stream_test cli_forecast_test
   # The whole serve suite runs once (queue saturation, deadline expiry,
   # hot swap), then the overload soak repeats to widen the interleaving
   # space TSan observes. The stream soak does the same for readers racing
@@ -70,6 +73,11 @@ if [[ "${1:-}" == "--soak" ]]; then
     --gtest_filter='*Soak*' --gtest_repeat=5
   TSAN_OPTIONS="halt_on_error=1" "${soak_dir}/tests/stream_test" \
     --gtest_filter='*Soak*' --gtest_repeat=5
+  # ctest runs every case in its own process: many CLI cases at once, each
+  # repeated, must never see another process's files.
+  TSAN_OPTIONS="halt_on_error=1" ctest --test-dir "${soak_dir}" \
+    --output-on-failure -R 'CliFlowTest|CliRunTest' \
+    -j$((4 * $(nproc))) --repeat until-fail:20
   exit 0
 fi
 
@@ -97,10 +105,13 @@ ctest --test-dir "${build_dir}" --output-on-failure -j"$(nproc)"
 
 # Forced-scalar pass: the same kernel-touching suites with the dispatcher
 # pinned to the scalar reference (DOPPLER_KERNEL=scalar), so a host whose
-# SIMD path masks a scalar bug — or vice versa — still fails here.
+# SIMD path masks a scalar bug — or vice versa — still fails here. The
+# golden suite refits the shipped group models, so the compiled constants
+# are re-derived under both kernel ISAs.
 DOPPLER_KERNEL=scalar "${build_dir}/tests/kernel_test"
 DOPPLER_KERNEL=scalar "${build_dir}/tests/stream_test"
 DOPPLER_KERNEL=scalar "${build_dir}/tests/property_test"
+DOPPLER_KERNEL=scalar "${build_dir}/tests/golden_report_test"
 
 # ThreadSanitizer pass over the concurrency-sensitive suites: the
 # lock-free metrics/tracer tests and the exec thread-pool / parallel fleet

@@ -37,7 +37,6 @@
 #include "serve/assessment_service.h"
 #include "serve/snapshot_registry.h"
 #include "stats/stl.h"
-#include "util/aligned.h"
 #include "util/deadline.h"
 #include "util/kernels/kernels.h"
 #include "util/random.h"
@@ -251,7 +250,7 @@ void RunMarkKernelBench(benchmark::State& state,
   const catalog::ResourceVector capacities = Catalog().skus()[40].Capacities();
   const ResourceDim dims[] = {ResourceDim::kCpu, ResourceDim::kMemoryGb,
                               ResourceDim::kIops};
-  AlignedVector<unsigned char> marks(n);
+  std::vector<unsigned char> marks(n);
   for (auto _ : state) {
     std::fill(marks.begin(), marks.end(), 0);
     std::size_t marked = 0;
@@ -283,41 +282,6 @@ void BM_MarkKernelSimd(benchmark::State& state) {
   RunMarkKernelBench(state, *ops);
 }
 BENCHMARK(BM_MarkKernelSimd)->Arg(4096)->Unit(benchmark::kMicrosecond);
-
-void RunKdeBatchBench(benchmark::State& state,
-                      const kernels::KernelOps& ops) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Rng rng(13);
-  AlignedVector<double> sample(n);
-  for (auto& v : sample) v = rng.Normal(50.0, 12.0);
-  double x = 30.0;
-  for (auto _ : state) {
-    // Sweep the query point so the transcendental inputs vary.
-    x = x < 70.0 ? x + 0.25 : 30.0;
-    const double cdf = ops.kde_cdf_sum(sample.data(), n, x, 3.5);
-    const double density = ops.kde_density_sum(sample.data(), n, x, 3.5);
-    benchmark::DoNotOptimize(cdf);
-    benchmark::DoNotOptimize(density);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-  state.SetLabel(ops.name);
-}
-
-void BM_KdeBatchScalar(benchmark::State& state) {
-  RunKdeBatchBench(state,
-                   *kernels::KernelOpsFor(kernels::KernelIsa::kScalar));
-}
-BENCHMARK(BM_KdeBatchScalar)->Arg(4096)->Unit(benchmark::kMicrosecond);
-
-void BM_KdeBatchSimd(benchmark::State& state) {
-  const kernels::KernelOps* ops = SimdKernels();
-  if (ops == nullptr) {
-    state.SkipWithError("no SIMD kernel variant on this host");
-    return;
-  }
-  RunKdeBatchBench(state, *ops);
-}
-BENCHMARK(BM_KdeBatchSimd)->Arg(4096)->Unit(benchmark::kMicrosecond);
 
 // ---- Negotiability strategies (the Table 4 cost axis).
 
@@ -687,4 +651,17 @@ BENCHMARK(BM_FlightRecorderOverhead)
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN plus the host context a baseline needs to be comparable:
+// the dispatched kernel ISA and Doppler's own build type (google-benchmark
+// already records num_cpus; --benchmark_context=git_sha=... adds the
+// commit).
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("kernel_isa",
+                              doppler::kernels::ActiveKernels().name);
+  benchmark::AddCustomContext("doppler_build_type", DOPPLER_BUILD_TYPE);
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

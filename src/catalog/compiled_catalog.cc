@@ -42,15 +42,6 @@ CompiledCatalog CompiledCatalog::Compile(SkuCatalog catalog,
                 }
                 return a.sku->id < b.sku->id;
               });
-    for (ResourceDim dim : kAllResourceDims) {
-      AlignedVector<double>& row =
-          deployment.capacity_rows_[static_cast<std::size_t>(
-              static_cast<int>(dim))];
-      row.reserve(deployment.entries_.size());
-      for (const CompiledEntry& entry : deployment.entries_) {
-        row.push_back(entry.capacities.Get(dim));
-      }
-    }
   }
   return compiled;
 }

@@ -12,7 +12,6 @@
 #include "catalog/resource.h"
 #include "catalog/sku.h"
 #include "catalog/target.h"
-#include "util/aligned.h"
 #include "util/statusor.h"
 
 namespace doppler::catalog {
@@ -61,9 +60,7 @@ class CompiledView {
 
 /// One deployment's candidate set, pre-sorted cheapest-first (monthly
 /// price, ties by id — the exact order the price-performance curve ends
-/// in), with the capacities additionally laid out as a structure-of-arrays
-/// matrix: one contiguous row per ResourceDim across all candidates, the
-/// layout batch capacity kernels scan directly.
+/// in).
 class CompiledDeployment {
  public:
   CompiledView view() const {
@@ -73,20 +70,10 @@ class CompiledDeployment {
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
-  /// Contiguous capacity row for one dimension: element i is candidate i's
-  /// capacity in `dim` (candidates in price order). All seven dimensions
-  /// are materialised — Sku::Capacities() sets every one. Rows are
-  /// cache-line aligned (util/aligned.h) so the batch kernels' vector
-  /// loads never straddle a line.
-  const AlignedVector<double>& CapacityRow(ResourceDim dim) const {
-    return capacity_rows_[static_cast<std::size_t>(static_cast<int>(dim))];
-  }
-
  private:
   friend class CompiledCatalog;
 
   std::vector<CompiledEntry> entries_;
-  std::array<AlignedVector<double>, kNumResourceDims> capacity_rows_;
   /// Back-pointer to the owning snapshot's target spec, stamped into every
   /// view handed out.
   const TargetSpec* target_ = nullptr;

@@ -9,7 +9,6 @@
 #include "obs/metrics.h"
 #include "stats/kde.h"
 #include "stats/normal.h"
-#include "util/aligned.h"
 #include "util/kernels/kernels.h"
 #include "util/random.h"
 
@@ -123,20 +122,9 @@ StatusOr<double> NonParametricEstimator::Probability(
 
   const kernels::KernelOps& ops = kernels::ActiveKernels();
 
-  // Single shared dimension: no mark buffer needed, pure count.
-  if (matrix.num_columns == 1) {
-    const double* const column = matrix.column(0);
-    const double capacity = capacities.Get(matrix.dim(0));
-    const std::size_t throttled = catalog::IsInvertedDim(matrix.dim(0))
-                                      ? ops.count_below(column, n, capacity)
-                                      : ops.count_above(column, n, capacity);
-    CountEvaluation(n);
-    return static_cast<double>(throttled) / static_cast<double>(n);
-  }
-
   // Reused per thread so the hot loop never allocates after warm-up; each
   // worker of a parallel curve build gets its own buffer.
-  thread_local AlignedVector<unsigned char> throttled_rows;
+  thread_local std::vector<unsigned char> throttled_rows;
   throttled_rows.assign(n, 0);
   std::size_t throttled = 0;
   std::size_t columns_scanned = 0;
@@ -163,48 +151,19 @@ StatusOr<double> NonParametricEstimator::Probability(
   return static_cast<double>(throttled) / static_cast<double>(n);
 }
 
-StatusOr<const stats::GaussianKde*> KdeEstimator::FittedKde(
-    ResourceDim dim) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::optional<stats::GaussianKde>& slot =
-      fitted_[static_cast<std::size_t>(static_cast<int>(dim))];
-  if (!slot.has_value()) {
-    // The cache's memoized sorted series IS the dimension's sample (same
-    // multiset), so the fit — one copy, one stddev pass — happens once per
-    // dimension instead of once per Probability call.
-    DOPPLER_ASSIGN_OR_RETURN(stats::GaussianKde kde,
-                             stats::GaussianKde::Fit(stats_->Sorted(dim)));
-    slot = std::move(kde);
-  }
-  // Slots are write-once under the mutex and the array itself never moves,
-  // so the pointer stays valid and safe to read after unlock.
-  return &*slot;
-}
-
 StatusOr<double> KdeEstimator::Probability(
     const telemetry::PerfTrace& trace,
     const ResourceVector& capacities) const {
   DOPPLER_ASSIGN_OR_RETURN(std::vector<ResourceDim> dims,
                            SharedDims(trace, capacities));
-  // Bound-cache fast path only applies to the cache's own trace object;
-  // any other trace (bootstrap resamples, tests) takes the per-call fit.
-  const bool bound = stats_ != nullptr && &stats_->trace() == &trace;
   double none_exceeds = 1.0;
   for (ResourceDim dim : dims) {
-    std::optional<stats::GaussianKde> local;
-    const stats::GaussianKde* kde = nullptr;
-    if (bound) {
-      DOPPLER_ASSIGN_OR_RETURN(kde, FittedKde(dim));
-    } else {
-      DOPPLER_ASSIGN_OR_RETURN(stats::GaussianKde fitted,
-                               stats::GaussianKde::Fit(trace.Values(dim)));
-      local = std::move(fitted);
-      kde = &*local;
-    }
+    DOPPLER_ASSIGN_OR_RETURN(const stats::GaussianKde kde,
+                             stats::GaussianKde::Fit(trace.Values(dim)));
     const double cap = capacities.Get(dim);
     // Inverted dimensions throttle when demand falls BELOW capacity.
     const double exceed =
-        catalog::IsInvertedDim(dim) ? kde->Cdf(cap) : kde->Exceedance(cap);
+        catalog::IsInvertedDim(dim) ? kde.Cdf(cap) : kde.Exceedance(cap);
     none_exceeds *= 1.0 - exceed;
   }
   // Every dimension's kernel CDF sums over all n sample points.

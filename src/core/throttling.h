@@ -1,15 +1,11 @@
 #ifndef DOPPLER_CORE_THROTTLING_H_
 #define DOPPLER_CORE_THROTTLING_H_
 
-#include <array>
-#include <mutex>
-#include <optional>
+#include <cstdint>
 #include <vector>
 
 #include "catalog/resource.h"
-#include "stats/kde.h"
 #include "telemetry/perf_trace.h"
-#include "telemetry/trace_stats.h"
 #include "util/statusor.h"
 
 namespace doppler::core {
@@ -25,12 +21,11 @@ namespace doppler::core {
 inline constexpr std::size_t kScratchRetainBytes = std::size_t{1} << 20;
 
 /// Applies the policy above to one scratch vector: keep the buffer when its
-/// footprint is within kScratchRetainBytes, release it otherwise. Allocator-
-/// generic so cache-aligned scratch (util/aligned.h) gets the same policy.
-template <typename T, typename Alloc>
-void TrimScratch(std::vector<T, Alloc>& scratch) {
+/// footprint is within kScratchRetainBytes, release it otherwise.
+template <typename T>
+void TrimScratch(std::vector<T>& scratch) {
   if (scratch.capacity() * sizeof(T) > kScratchRetainBytes) {
-    scratch = std::vector<T, Alloc>();
+    scratch = std::vector<T>();
   }
 }
 
@@ -109,42 +104,15 @@ class NonParametricEstimator : public ThrottlingEstimator {
 /// exceedances under an independence approximation,
 /// P(any) = 1 - prod_d (1 - e_d).
 ///
-/// Unbound (default constructor), the KDE is copied out of the trace and
-/// re-fit on every call — the per-call cost the paper rejected, kept as-is
-/// so the bench_perf_engine ablation still quantifies it. Bound to a
-/// TraceStatsCache, calls whose trace IS the cache's trace fit each
-/// dimension once from the cache's memoized sorted series and reuse the
-/// fit, so the §3.2 estimator comparison measures the smoothing model
-/// rather than redundant sorting and re-fitting. Note the bound path sums
-/// the kernel CDF over the sample in sorted order, so results may differ
-/// from the unbound path by floating-point summation order (never used on
-/// the golden path, which is non-parametric).
+/// Every call copies each dimension out of the trace and re-fits its KDE —
+/// the per-call cost the paper rejected, kept so the bench_perf_engine
+/// ablation quantifies it. Stateless, so concurrent calls are safe.
 class KdeEstimator : public ThrottlingEstimator {
  public:
-  KdeEstimator() = default;
-
-  /// Binds `stats` (borrowed; must outlive the estimator). Calls with any
-  /// other trace fall back to the unbound per-call fit.
-  explicit KdeEstimator(const telemetry::TraceStatsCache* stats)
-      : stats_(stats) {}
-
   StatusOr<double> Probability(
       const telemetry::PerfTrace& trace,
       const catalog::ResourceVector& capacities) const override;
   const char* name() const override { return "gaussian-kde"; }
-
- private:
-  /// The memoized fit for one dimension of the bound cache's trace; fits on
-  /// first use. The pointer stays valid for the estimator's lifetime.
-  StatusOr<const stats::GaussianKde*> FittedKde(catalog::ResourceDim dim) const;
-
-  const telemetry::TraceStatsCache* stats_ = nullptr;
-  // Memoized per-dimension fits over stats_'s sorted series, built lazily
-  // under the mutex so concurrent Probability calls may share them.
-  mutable std::mutex mu_;
-  mutable std::array<std::optional<stats::GaussianKde>,
-                     catalog::kNumResourceDims>
-      fitted_;
 };
 
 /// The copula-family alternative the paper cites (§3.2, "multivariate

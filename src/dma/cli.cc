@@ -30,6 +30,7 @@
 #include "serve/snapshot_registry.h"
 #include "serve/spool.h"
 #include "stream/monitor.h"
+#include "util/file_util.h"
 #include "util/json_writer.h"
 #include "tco/tco.h"
 #include "telemetry/trace_io.h"
@@ -553,7 +554,7 @@ StatusOr<int> RunAssessBatch(const CliOptions& options, std::ostream& out) {
   }
   const std::string out_path = options.Get("out");
   if (!out_path.empty()) {
-    DOPPLER_RETURN_IF_ERROR(obs::WriteTextFileAtomic(out_path, rendered));
+    DOPPLER_RETURN_IF_ERROR(WriteTextFileAtomic(out_path, rendered));
     out << "wrote batch report for " << results.size() << " traces to "
         << out_path << "\n";
   } else {
@@ -800,7 +801,7 @@ StatusOr<int> RunServe(const CliOptions& options, std::ostream& out) {
                           : serve::RenderSpoolReportText(report, stats);
   const std::string out_path = options.Get("out");
   if (!out_path.empty()) {
-    DOPPLER_RETURN_IF_ERROR(obs::WriteTextFileAtomic(out_path, rendered));
+    DOPPLER_RETURN_IF_ERROR(WriteTextFileAtomic(out_path, rendered));
     out << "wrote serve report for " << report.responses.size()
         << " requests to " << out_path << "\n";
   } else {
@@ -943,8 +944,7 @@ StatusOr<int> RunMonitor(const CliOptions& options, std::ostream& out) {
   }
   const std::string out_path = options.Get("out");
   if (!out_path.empty()) {
-    DOPPLER_RETURN_IF_ERROR(
-        obs::WriteTextFileAtomic(out_path, rendered.str()));
+    DOPPLER_RETURN_IF_ERROR(WriteTextFileAtomic(out_path, rendered.str()));
     out << "wrote monitor log for " << batches << " batches to " << out_path
         << "\n";
   } else {
@@ -1109,7 +1109,7 @@ Status ExportObservability(const CliOptions& options) {
     const bool json = path.size() >= 5 &&
                       path.compare(path.size() - 5, 5, ".json") == 0;
     const obs::MetricsRegistry& metrics = obs::DefaultMetrics();
-    DOPPLER_RETURN_IF_ERROR(obs::WriteTextFileAtomic(
+    DOPPLER_RETURN_IF_ERROR(WriteTextFileAtomic(
         path, json ? metrics.RenderJson() : metrics.RenderPrometheusText()));
   }
   if (options.Has("trace-out")) {

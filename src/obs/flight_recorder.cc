@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
+#include "util/file_util.h"
 #include "util/json_writer.h"
 
 namespace doppler::obs {

@@ -9,8 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "util/status.h"
-
 namespace doppler {
 class JsonWriter;
 }
@@ -190,19 +188,6 @@ class MetricsRegistry {
 /// point records into. Never destroyed (leaked on purpose) so metrics from
 /// static-destruction-order territory stay safe.
 MetricsRegistry& DefaultMetrics();
-
-/// Writes `content` of a rendered export to `path` (UNAVAILABLE on I/O
-/// failure). Not atomic — a concurrent reader can observe a partial file;
-/// exports that scrapers poll should use WriteTextFileAtomic instead.
-Status WriteTextFile(const std::string& path, const std::string& content);
-
-/// Atomically replaces `path` with `content`: writes a sibling temp file,
-/// fsyncs it, then rename(2)s it over `path`, so a concurrent reader sees
-/// either the previous complete file or the new complete file — never a
-/// torn write. Shared by the CLI's --metrics-out/--trace-out exports, the
-/// windowed snapshotter, and the flight-recorder journal dump.
-Status WriteTextFileAtomic(const std::string& path,
-                           const std::string& content);
 
 }  // namespace doppler::obs
 

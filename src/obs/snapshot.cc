@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/file_util.h"
 #include "util/json_writer.h"
 
 namespace doppler::obs {

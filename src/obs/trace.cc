@@ -7,6 +7,7 @@
 #include <mutex>
 
 #include "obs/metrics.h"
+#include "util/file_util.h"
 #include "util/json_writer.h"
 
 namespace doppler::obs {

@@ -39,8 +39,6 @@ class TraceStatsCache {
   TraceStatsCache(const TraceStatsCache&) = delete;
   TraceStatsCache& operator=(const TraceStatsCache&) = delete;
 
-  const PerfTrace& trace() const { return *trace_; }
-
   /// Ascending-sorted copy of the dimension's series; empty when the
   /// dimension is absent from the trace. Equal values keep their row order
   /// (a stable sort), so -0.0 and +0.0 land in a fixed order and the

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/file_util.h"
 #include "util/string_util.h"
 
 namespace doppler {
@@ -35,11 +36,7 @@ std::string CsvTable::ToString() const {
 }
 
 Status CsvTable::WriteFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return UnavailableError("cannot open '" + path + "' for writing");
-  out << ToString();
-  if (!out) return UnavailableError("failed writing '" + path + "'");
-  return OkStatus();
+  return WriteTextFileAtomic(path, ToString());
 }
 
 StatusOr<CsvTable> CsvTable::Parse(const std::string& text) {

@@ -38,7 +38,8 @@ class CsvTable {
   /// Serializes the whole table (header first) to CSV text.
   std::string ToString() const;
 
-  /// Writes the table to `path`; fails with UNAVAILABLE on IO errors.
+  /// Replaces `path` with the table atomically (WriteTextFileAtomic), so a
+  /// concurrent reader never sees a torn file; UNAVAILABLE on IO errors.
   Status WriteFile(const std::string& path) const;
 
   /// Parses CSV text (first line is the header).

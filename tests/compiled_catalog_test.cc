@@ -1,12 +1,12 @@
-// Unit tests for the compiled catalog snapshot: price order, the SoA
-// capacity matrix against the Sku records, the precomputed premium-disk
+// Unit tests for the compiled catalog snapshot: price order, the memoized
+// capacity vectors against the Sku records, the precomputed premium-disk
 // limit table against premium_disk.cc, and bit-for-bit determinism of the
 // compiled engine paths (curve build, MI filter, recommenders) across
 // independently compiled snapshots, including the target's per-trace
 // serverless repricing hook. The BatchEvaluationTest suite pins the curve
 // build's per-candidate scoring: exact agreement with Probability at any
-// job count, first failure in candidate order, schedule-independent
-// counters, and the bound KDE estimator shared by the build's workers.
+// job count, first failure in candidate order, and schedule-independent
+// counters.
 
 #include <algorithm>
 #include <cmath>
@@ -32,7 +32,6 @@
 #include "core/throttling.h"
 #include "exec/thread_pool.h"
 #include "obs/metrics.h"
-#include "telemetry/trace_stats.h"
 #include "util/random.h"
 
 namespace doppler::catalog {
@@ -111,18 +110,14 @@ TEST(CompiledCatalogTest, CapacityMatrixMatchesSkuFields) {
   for (Deployment deployment : kPopulatedDeployments) {
     const CompiledDeployment& dep = compiled.ForDeployment(deployment);
     for (ResourceDim dim : kAllResourceDims) {
-      const auto& row = dep.CapacityRow(dim);
-      ASSERT_EQ(row.size(), dep.size());
       for (std::size_t i = 0; i < dep.size(); ++i) {
+        // Sku::Capacities() sets every dimension, so each memoized
+        // capacity vector is complete and equal to the record's own.
         const ResourceVector from_sku = dep.entries()[i].sku->Capacities();
-        // Sku::Capacities() sets every dimension, so the SoA row is the
-        // exact per-dimension transpose of the record's capacity vector.
         ASSERT_TRUE(from_sku.Has(dim));
-        EXPECT_DOUBLE_EQ(row[i], from_sku.Get(dim))
-            << dep.entries()[i].sku->id << " dim "
-            << ResourceDimName(dim);
         EXPECT_DOUBLE_EQ(dep.entries()[i].capacities.Get(dim),
-                         from_sku.Get(dim));
+                         from_sku.Get(dim))
+            << dep.entries()[i].sku->id << " dim " << ResourceDimName(dim);
       }
     }
   }
@@ -580,48 +575,6 @@ TEST_F(BatchEvaluationTest, CounterTotalsAreScheduleIndependent) {
   for (std::size_t i = 0; i < std::size(counters); ++i) {
     EXPECT_EQ(deltas[0][i], deltas[1][i]) << counters[i] << " jobs 1 vs 2";
     EXPECT_EQ(deltas[0][i], deltas[2][i]) << counters[i] << " jobs 1 vs 8";
-  }
-}
-
-// Bound to a stats cache, the KDE estimator fits each dimension once from
-// the sorted series and shares the fit across the build's workers (a TSan
-// target); only floating-point summation order may differ from the
-// per-call fit.
-TEST_F(BatchEvaluationTest, BoundKdeMatchesUnboundWithinSummationTolerance) {
-  const telemetry::PerfTrace trace = RandomTrace(62, 350);
-  const telemetry::TraceStatsCache cache(trace);
-  const core::KdeEstimator unbound;
-  const core::KdeEstimator bound(&cache);
-  const CompiledView view = View(Deployment::kSqlDb);
-  for (const CompiledEntry& entry : view) {
-    StatusOr<double> a = unbound.Probability(trace, entry.capacities);
-    StatusOr<double> b = bound.Probability(trace, entry.capacities);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_NEAR(*a, *b, 1e-9);
-  }
-
-  StatusOr<PricePerformanceCurve> serial =
-      PricePerformanceCurve::Build(trace, view, pricing_, bound);
-  exec::ThreadPool pool(8);
-  StatusOr<PricePerformanceCurve> parallel =
-      PricePerformanceCurve::Build(trace, view, pricing_, bound, &pool);
-  ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(parallel.ok());
-  for (std::size_t i = 0; i < serial->size(); ++i) {
-    EXPECT_EQ(serial->points()[i].throttling_probability,
-              parallel->points()[i].throttling_probability);
-  }
-
-  // On any OTHER trace the bound estimator falls back to the per-call fit
-  // and agrees exactly.
-  const telemetry::PerfTrace other = RandomTrace(63, 350);
-  for (const CompiledEntry& entry : view) {
-    StatusOr<double> a = unbound.Probability(other, entry.capacities);
-    StatusOr<double> b = bound.Probability(other, entry.capacities);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(*a, *b);
   }
 }
 

@@ -10,6 +10,7 @@
 #include "core/recommender.h"
 #include "dma/pipeline.h"
 #include "dma/preprocess.h"
+#include "private_temp_dir.h"
 #include "sim/replayer.h"
 #include "stats/descriptive.h"
 #include "telemetry/collector.h"
@@ -121,7 +122,9 @@ TEST(EndToEnd, CollectPersistAssess) {
   ASSERT_TRUE(collected.ok());
 
   // Stage locally as the appliance does.
-  const std::string path = testing::TempDir() + "/staged_trace.csv";
+  const PrivateTempDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string path = dir.path() + "/staged_trace.csv";
   ASSERT_TRUE(telemetry::WriteTraceFile(*collected, path).ok());
   StatusOr<telemetry::PerfTrace> staged = telemetry::ReadTraceFile(path);
   ASSERT_TRUE(staged.ok());

@@ -1,18 +1,15 @@
 // Differential harness for the SIMD kernel layer (DESIGN.md §15): every
-// compiled-in implementation of every kernel is held to EXACT equality —
-// integer-exact for the counting kernels, bit-for-bit for the KDE sums —
-// against the scalar reference, across every tail alignment and
-// tie-heavy capacity values. The dispatch shim itself is swept over every
-// DOPPLER_KERNEL override value.
+// compiled-in implementation of the mark kernels is held to EXACT equality
+// — the same marks and the same integer count — against the scalar
+// reference, across every tail alignment and tie-heavy capacity values.
+// The dispatch shim itself is swept over every DOPPLER_KERNEL override
+// value.
 
-#include <cmath>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "util/aligned.h"
 #include "util/kernels/kernels.h"
 #include "util/random.h"
 
@@ -46,8 +43,8 @@ TEST(KernelLayerTest, ScalarAlwaysAvailable) {
 
 // Columns probing strict-comparison edges: exact ties everywhere, NaNs
 // (compare false both ways), infinities, and negative zero (== 0.0).
-AlignedVector<double> MakeColumn(Rng& rng, std::size_t n) {
-  AlignedVector<double> column(n);
+std::vector<double> MakeColumn(Rng& rng, std::size_t n) {
+  std::vector<double> column(n);
   for (std::size_t i = 0; i < n; ++i) {
     switch (rng.UniformInt(8)) {
       case 0:
@@ -78,32 +75,15 @@ const double kLimits[] = {5.0, 0.0, -3.33, 1e12, -1e12,
                           std::numeric_limits<double>::infinity(),
                           std::numeric_limits<double>::quiet_NaN()};
 
-TEST(KernelLayerTest, CountKernelsMatchScalarIncludingNaNAndTies) {
-  for (const KernelOps* impl : AvailableImpls()) {
-    Rng rng(7);
-    for (std::size_t n : kRowCounts) {
-      const AlignedVector<double> column = MakeColumn(rng, n);
-      for (double limit : kLimits) {
-        EXPECT_EQ(impl->count_above(column.data(), n, limit),
-                  Scalar().count_above(column.data(), n, limit))
-            << impl->name << " n=" << n << " limit=" << limit;
-        EXPECT_EQ(impl->count_below(column.data(), n, limit),
-                  Scalar().count_below(column.data(), n, limit))
-            << impl->name << " n=" << n << " limit=" << limit;
-      }
-    }
-  }
-}
-
 TEST(KernelLayerTest, MarkKernelsMatchScalarAndOnlyCountFreshRows) {
   for (const KernelOps* impl : AvailableImpls()) {
     Rng rng(99);
     for (std::size_t n : kRowCounts) {
-      const AlignedVector<double> column = MakeColumn(rng, n);
+      const std::vector<double> column = MakeColumn(rng, n);
       for (double limit : kLimits) {
         // Pre-marked rows exercise the fresh-only counting: a random
         // subset is already 1, as after a previous column's scan.
-        AlignedVector<unsigned char> marks_ref(n), marks_impl(n);
+        std::vector<unsigned char> marks_ref(n), marks_impl(n);
         for (std::size_t i = 0; i < n; ++i) {
           marks_ref[i] = static_cast<unsigned char>(rng.UniformInt(3) == 0);
           marks_impl[i] = marks_ref[i];
@@ -125,39 +105,6 @@ TEST(KernelLayerTest, MarkKernelsMatchScalarAndOnlyCountFreshRows) {
             << impl->name << " n=" << n << " limit=" << limit;
         EXPECT_EQ(marks_impl, marks_ref)
             << impl->name << " n=" << n << " limit=" << limit;
-      }
-    }
-  }
-}
-
-TEST(KernelLayerTest, KdeKernelsAreBitIdenticalToScalar) {
-  for (const KernelOps* impl : AvailableImpls()) {
-    Rng rng(555);
-    for (std::size_t n : kRowCounts) {
-      AlignedVector<double> sample(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        sample[i] = (static_cast<double>(rng.UniformInt(10000)) - 5000.0) /
-                    250.0;
-      }
-      for (double x : {-7.5, 0.0, 0.3, 12.0}) {
-        for (double bandwidth : {0.25, 1.0, 3.7}) {
-          // Exact equality, not EXPECT_NEAR: the contract is bit-identity.
-          const double cdf_ref =
-              Scalar().kde_cdf_sum(sample.data(), n, x, bandwidth);
-          const double cdf_got =
-              impl->kde_cdf_sum(sample.data(), n, x, bandwidth);
-          EXPECT_EQ(std::memcmp(&cdf_ref, &cdf_got, sizeof(double)), 0)
-              << impl->name << " n=" << n << " x=" << x << " bw=" << bandwidth
-              << " ref=" << cdf_ref << " got=" << cdf_got;
-          const double density_ref =
-              Scalar().kde_density_sum(sample.data(), n, x, bandwidth);
-          const double density_got =
-              impl->kde_density_sum(sample.data(), n, x, bandwidth);
-          EXPECT_EQ(std::memcmp(&density_ref, &density_got, sizeof(double)),
-                    0)
-              << impl->name << " n=" << n << " x=" << x << " bw=" << bandwidth
-              << " ref=" << density_ref << " got=" << density_got;
-        }
       }
     }
   }

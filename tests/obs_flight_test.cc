@@ -3,8 +3,8 @@
 // arbitrary healthy-traffic rotation), concurrent record/dump safety (run
 // under TSan by tools/check.sh), windowed snapshot diffing against exact
 // seeded workloads, quantile interpolation error bounds, SLO fractions,
-// atomic file publication, Prometheus name sanitisation, and the JSON-lines
-// round trip that `doppler stats` depends on.
+// atomic snapshot publication, Prometheus name sanitisation, and the
+// JSON-lines round trip that `doppler stats` depends on.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <random>
@@ -23,6 +22,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
+#include "private_temp_dir.h"
 
 namespace doppler::obs {
 namespace {
@@ -44,10 +44,6 @@ FlightRecord AnomalyRecord(const std::string& id, FlightCause cause,
   record.status = code;
   record.cause = cause;
   return record;
-}
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
 }
 
 // --------------------------------------------- Flight recorder retention.
@@ -334,33 +330,6 @@ TEST(PrometheusNameTest, NonFiniteGaugeValuesUseExpositionSpellings) {
   EXPECT_NE(text.find("doppler_odd_minus -Inf"), std::string::npos);
 }
 
-// ------------------------------------------------------- Atomic writes.
-
-TEST(AtomicWriteTest, ReplacesContentAndLeavesNoTempFiles) {
-  const std::string path = TempPath("doppler_atomic_test.txt");
-  ASSERT_TRUE(WriteTextFileAtomic(path, "first").ok());
-  ASSERT_TRUE(WriteTextFileAtomic(path, "second").ok());
-  std::ifstream in(path);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_EQ(content, "second");
-  // No .tmp.* siblings survive a successful publication.
-  const std::filesystem::path dir =
-      std::filesystem::path(path).parent_path();
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    EXPECT_EQ(entry.path().filename().string().find(
-                  "doppler_atomic_test.txt.tmp"),
-              std::string::npos);
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(AtomicWriteTest, FailsCleanlyOnUnwritableDirectory) {
-  const Status status =
-      WriteTextFileAtomic("/nonexistent-dir-zz/file.txt", "content");
-  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
-}
-
 // ------------------------------------------------- Windowed snapshotting.
 
 TEST(SnapshotterTest, TickDiffsExactWindowedCounts) {
@@ -429,9 +398,11 @@ TEST(SnapshotterTest, SloFractionTracksThreshold) {
 
 TEST(SnapshotterTest, FilesAreWrittenAtomicallyEachTick) {
   MetricsRegistry registry;
+  const PrivateTempDir dir;
+  ASSERT_FALSE(dir.path().empty());
   SnapshotterOptions options;
-  options.jsonl_path = TempPath("doppler_snap_test.jsonl");
-  options.prom_path = TempPath("doppler_snap_test.prom");
+  options.jsonl_path = dir.path() + "/snap.jsonl";
+  options.prom_path = dir.path() + "/snap.prom";
   MetricsSnapshotter snapshotter(&registry, options);
   registry.GetCounter("serve.admitted")->Increment(3);
   snapshotter.Tick();
@@ -450,8 +421,6 @@ TEST(SnapshotterTest, FilesAreWrittenAtomicallyEachTick) {
   std::string text((std::istreambuf_iterator<char>(prom)),
                    std::istreambuf_iterator<char>());
   EXPECT_NE(text.find("doppler_window_serve_admitted 2"), std::string::npos);
-  std::filesystem::remove(options.jsonl_path);
-  std::filesystem::remove(options.prom_path);
 }
 
 TEST(SnapshotterTest, BackgroundCadenceProducesTicks) {

@@ -371,7 +371,7 @@ void ExpectBuildMatchesOracle(
 // candidates must match the naive row-major reference EXACTLY under every
 // kernel table and job count: a SKU tied at observed demand on a normal
 // dimension (memory, strict '>') and on the inverted one (latency, strict
-// '<'), a single-dimension trace (the count-kernel path), and the MI
+// '<'), a single-dimension trace (a one-column mark scan), and the MI
 // route's layout IOPS override tied at an observed IOPS value.
 TEST_P(EngineProperty, BatchCurveProbabilitiesMatchNaiveRowMajorReference) {
   const telemetry::PerfTrace trace = RandomTrace(GetParam());

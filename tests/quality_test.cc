@@ -11,6 +11,7 @@
 
 #include "dma/pipeline.h"
 #include "dma/resource_report.h"
+#include "private_temp_dir.h"
 #include "quality/quality_gate.h"
 #include "sim/fault_injector.h"
 #include "telemetry/trace_io.h"
@@ -616,7 +617,9 @@ TEST_F(RobustnessFixture, DegradedAssessmentFlagsMissingDimension) {
 
 TEST_F(RobustnessFixture, SeededByteMutationsNeverAbortTheReader) {
   const std::string clean = RealisticTable(24).ToString();
-  const std::string path = testing::TempDir() + "/doppler_fuzzed_trace.csv";
+  const PrivateTempDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string path = dir.path() + "/fuzzed_trace.csv";
   int readable = 0;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));

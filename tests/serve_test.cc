@@ -42,6 +42,7 @@
 #include "serve/spool.h"
 #include "sim/fault_injector.h"
 #include "util/deadline.h"
+#include "util/file_util.h"
 #include "util/random.h"
 #include "workload/generator.h"
 
@@ -586,7 +587,7 @@ class SpoolDir {
 
   std::string Write(const std::string& name, const std::string& text) {
     const std::filesystem::path path = dir_ / name;
-    EXPECT_TRUE(obs::WriteTextFile(path.string(), text).ok());
+    EXPECT_TRUE(WriteTextFileAtomic(path.string(), text).ok());
     return path.string();
   }
 

@@ -1,6 +1,7 @@
 // Unit and property tests for src/stats.
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -395,6 +396,45 @@ TEST(KdeTest, DensityIntegratesToOne) {
   const double dx = 0.01;
   for (double x = -10.0; x <= 12.0; x += dx) integral += kde->Density(x) * dx;
   EXPECT_NEAR(integral, 1.0, 0.01);
+}
+
+// Pins the evaluation bytes: Cdf and Density are the Gaussian kernel terms
+// summed in sample order, then scaled — exactly, not within a tolerance.
+// The sample lengths cover every remainder of a 2-, 4- or 8-wide loop.
+TEST(KdeTest, CdfAndDensityEqualTheSampleOrderSum) {
+  Rng rng(555);
+  for (std::size_t n : {1000, 1001, 1002, 1003}) {
+    std::vector<double> sample(n);
+    for (double& s : sample) {
+      s = (static_cast<double>(rng.UniformInt(10000)) - 5000.0) / 250.0;
+    }
+    // 0 selects Silverman's bandwidth.
+    for (double requested : {0.0, 0.25, 1.0, 3.7}) {
+      StatusOr<GaussianKde> kde = GaussianKde::Fit(sample, requested);
+      ASSERT_TRUE(kde.ok());
+      const double h = kde->bandwidth();
+      for (double x : {-7.5, 0.0, 0.3, 12.0}) {
+        double cdf_sum = 0.0;
+        double density_sum = 0.0;
+        for (double s : sample) {
+          const double z = (x - s) / h;
+          cdf_sum += 0.5 * (1.0 + std::erf(z * 0.7071067811865476));
+          density_sum += std::exp(-0.5 * z * z);
+        }
+        const double cdf = cdf_sum / static_cast<double>(n);
+        const double density = density_sum * 0.3989422804014327 /
+                               (h * static_cast<double>(n));
+        const double got_cdf = kde->Cdf(x);
+        const double got_density = kde->Density(x);
+        EXPECT_EQ(std::memcmp(&got_cdf, &cdf, sizeof(double)), 0)
+            << "n=" << n << " h=" << h << " x=" << x << " got=" << got_cdf
+            << " want=" << cdf;
+        EXPECT_EQ(std::memcmp(&got_density, &density, sizeof(double)), 0)
+            << "n=" << n << " h=" << h << " x=" << x << " got=" << got_density
+            << " want=" << density;
+      }
+    }
+  }
 }
 
 TEST(KdeTest, SilvermanBandwidthPositive) {

@@ -34,6 +34,7 @@
 #include "stream/monitor.h"
 #include "stream/streaming_trace.h"
 #include "telemetry/trace_stats.h"
+#include "util/file_util.h"
 #include "util/random.h"
 #include "workload/generator.h"
 
@@ -662,7 +663,7 @@ class MonitorSpoolDir {
 
   std::string Write(const std::string& name, const std::string& text) {
     const std::filesystem::path path = dir_ / name;
-    EXPECT_TRUE(obs::WriteTextFile(path.string(), text).ok());
+    EXPECT_TRUE(WriteTextFileAtomic(path.string(), text).ok());
     return path.string();
   }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "private_temp_dir.h"
 #include "stats/descriptive.h"
 #include "telemetry/aggregate.h"
 #include "telemetry/collector.h"
@@ -277,7 +278,9 @@ TEST(TraceIoTest, RoundTripPreservesValues) {
 TEST(TraceIoTest, FileRoundTrip) {
   PerfTrace trace(600);
   ASSERT_TRUE(trace.SetSeries(ResourceDim::kMemoryGb, {4.0, 8.0}).ok());
-  const std::string path = testing::TempDir() + "/doppler_trace.csv";
+  const PrivateTempDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string path = dir.path() + "/trace.csv";
   ASSERT_TRUE(WriteTraceFile(trace, path).ok());
   StatusOr<PerfTrace> loaded = ReadTraceFile(path);
   ASSERT_TRUE(loaded.ok());

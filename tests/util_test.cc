@@ -1,13 +1,18 @@
-// Unit tests for src/util: Status/StatusOr, RNG, strings, CSV, tables,
-// plots.
+// Unit tests for src/util: Status/StatusOr, RNG, strings, CSV, atomic
+// file writes, tables, plots.
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "private_temp_dir.h"
 #include "util/ascii_plot.h"
 #include "util/csv.h"
+#include "util/file_util.h"
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -364,7 +369,9 @@ TEST(CsvTest, ParseRejectsEmptyDocument) {
 TEST(CsvTest, FileRoundTrip) {
   CsvTable table({"k", "v"});
   ASSERT_TRUE(table.AddRow({"a", "1"}).ok());
-  const std::string path = testing::TempDir() + "/doppler_csv_test.csv";
+  const PrivateTempDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string path = dir.path() + "/table.csv";
   ASSERT_TRUE(table.WriteFile(path).ok());
   StatusOr<CsvTable> loaded = CsvTable::ReadFile(path);
   ASSERT_TRUE(loaded.ok());
@@ -374,6 +381,64 @@ TEST(CsvTest, FileRoundTrip) {
 TEST(CsvTest, ReadMissingFileFails) {
   EXPECT_EQ(CsvTable::ReadFile("/nonexistent/doppler.csv").status().code(),
             StatusCode::kUnavailable);
+}
+
+// A spool reader that opened a trace before it was rewritten must still
+// read the complete old trace, never a truncated or mixed one.
+TEST(CsvTest, WriteFileNeverRewritesAnOpenFileInPlace) {
+  const PrivateTempDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string path = dir.path() + "/trace.csv";
+  CsvTable before({"t_seconds", "cpu"});
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_TRUE(before.AddRow({std::to_string(i * 600), "1.25"}).ok());
+  }
+  ASSERT_TRUE(before.WriteFile(path).ok());
+
+  std::ifstream reader(path);
+  ASSERT_TRUE(reader.is_open());
+  CsvTable after({"t_seconds", "cpu"});
+  ASSERT_TRUE(after.AddRow({"0", "9.5"}).ok());
+  ASSERT_TRUE(after.WriteFile(path).ok());
+
+  std::ostringstream seen;
+  seen << reader.rdbuf();
+  EXPECT_EQ(seen.str(), before.ToString());
+  StatusOr<CsvTable> reread = CsvTable::ReadFile(path);
+  ASSERT_TRUE(reread.ok());
+  EXPECT_EQ(reread->ToString(), after.ToString());
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+              std::string::npos)
+        << entry.path();
+  }
+}
+
+// ---------------------------------------------------------- Atomic writes.
+
+TEST(AtomicWriteTest, ReplacesContentAndLeavesNoTempFiles) {
+  const PrivateTempDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string path = dir.path() + "/export.txt";
+  ASSERT_TRUE(WriteTextFileAtomic(path, "first").ok());
+  ASSERT_TRUE(WriteTextFileAtomic(path, "second").ok());
+  std::ifstream in(path);
+  std::string content((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+  EXPECT_EQ(content, "second");
+  // The published file is the only entry: no .tmp.* sibling survives.
+  std::size_t entries = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+    EXPECT_EQ(entry.path().filename(), "export.txt");
+    ++entries;
+  }
+  EXPECT_EQ(entries, 1u);
+}
+
+TEST(AtomicWriteTest, FailsCleanlyOnUnwritableDirectory) {
+  const Status status =
+      WriteTextFileAtomic("/nonexistent-dir-zz/file.txt", "content");
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
 }
 
 // ----------------------------------------------------------------- Table.

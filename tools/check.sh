@@ -21,9 +21,14 @@
 # BENCH_pipeline.json
 # via tools/bench_check.py. Counter-based, so it holds on any machine;
 # the one wall-time gate is the within-run SIMD/scalar mark-kernel ratio.
-# After an INTENDED cost change, refresh the baseline:
+# Every run's JSON context names its host: num_cpus, kernel_isa,
+# doppler_build_type and git_sha.
+# After an INTENDED cost change, refresh the baseline from a Release build:
+#   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
+#   cmake --build build -j --target bench_perf_engine
 #   ./build/bench/bench_perf_engine \
-#     --benchmark_filter='BM_PipelineAssess|BM_CompiledAssess|BM_CrossTargetCurve|BM_ServeOverload|BM_FlightRecorderOverhead|BM_MarkKernel|BM_KdeBatch' \
+#     --benchmark_filter='BM_PipelineAssess|BM_CompiledAssess|BM_CrossTargetCurve|BM_ServeOverload|BM_FlightRecorderOverhead|BM_MarkKernel' \
+#     --benchmark_context=git_sha=$(git rev-parse HEAD) \
 #     --benchmark_out=BENCH_pipeline.json --benchmark_out_format=json
 #
 # Soak mode: tools/check.sh --soak [build-dir] (default build-soak)
@@ -31,8 +36,10 @@
 # the deterministic soaks (concurrent submitters + snapshot swaps +
 # pre-expired deadlines; stream readers racing the appender) so races in
 # the serving and streaming paths fail loudly, and repeats the CLI cases
-# at 4x oversubscription so a test that shares files across processes
-# fails here, not at random.
+# at 4x oversubscription. It then builds the whole suite in a plain tree
+# beside the soak tree (<build-dir>-plain) and repeats all of it at 4x
+# oversubscription, so a test that shares files across processes or
+# depends on scheduling fails here, not at random.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -44,7 +51,8 @@ if [[ "${1:-}" == "--bench" ]]; then
   fresh_json="$(mktemp --suffix=.json)"
   trap 'rm -f "${fresh_json}"' EXIT
   "${bench_build_dir}/bench/bench_perf_engine" \
-    --benchmark_filter='BM_PipelineAssess|BM_CompiledAssess|BM_CrossTargetCurve|BM_ServeOverload|BM_FlightRecorderOverhead|BM_MarkKernel|BM_KdeBatch' \
+    --benchmark_filter='BM_PipelineAssess|BM_CompiledAssess|BM_CrossTargetCurve|BM_ServeOverload|BM_FlightRecorderOverhead|BM_MarkKernel' \
+    --benchmark_context=git_sha="$(git -C "${repo_root}" rev-parse HEAD)" \
     --benchmark_out="${fresh_json}" --benchmark_out_format=json
   # Counter comparison against the committed baseline, plus the kernel
   # layer's within-run wall-time gate: the dispatched SIMD mark kernel
@@ -78,6 +86,13 @@ if [[ "${1:-}" == "--soak" ]]; then
   TSAN_OPTIONS="halt_on_error=1" ctest --test-dir "${soak_dir}" \
     --output-on-failure -R 'CliFlowTest|CliRunTest' \
     -j$((4 * $(nproc))) --repeat until-fail:20
+  # The whole tier-1 suite, unsanitized so it runs at full speed, five
+  # times over at 4x oversubscription.
+  plain_dir="${soak_dir}-plain"
+  cmake -B "${plain_dir}" -S "${repo_root}"
+  cmake --build "${plain_dir}" -j"$(nproc)"
+  ctest --test-dir "${plain_dir}" --output-on-failure \
+    -j$((4 * $(nproc))) --repeat until-fail:5
   exit 0
 fi
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -108,19 +109,21 @@ swap, so every target serves from one catalog generation.
 
 assess-batch assesses every *.csv under --traces (sorted by name; the file
 name is the customer id) across --jobs workers (default: one per hardware
-thread). Reports are byte-identical at any --jobs value; per-trace wall
-clocks are only included with --timings. A bad trace never sinks the
-batch: its slot carries a structured status and the command exits 1.
+thread, at most 256). Each worker reads, gates, assesses and renders one
+trace at a time, so about --jobs traces are in memory at once. Reports
+are byte-identical at any --jobs value; per-trace wall clocks are only
+included with --timings. A bad trace never sinks the batch: its slot
+carries a structured status and the command exits 1.
 
 serve runs the long-lived assessment service against a request spool: each
 *.csv dropped under --spool is one request (the file name is the customer
-id). --jobs workers drain a bounded --queue-depth admission queue; a full
-queue sheds requests with RESOURCE_EXHAUSTED and sustained pressure sheds
-the confidence stage first. --deadline-ms bounds each request; expired
-requests report DEADLINE_EXCEEDED with the stages that completed. --rounds
-scans the spool that many times (sleeping --poll-ms between scans), and
---watch-catalog hot-swaps a repriced catalog file into a new snapshot
-epoch without disturbing in-flight requests.
+id). --jobs workers (at most 256) drain a bounded --queue-depth admission
+queue; a full queue sheds requests with RESOURCE_EXHAUSTED and sustained
+pressure sheds the confidence stage first. --deadline-ms bounds each
+request; expired requests report DEADLINE_EXCEEDED with the stages that
+completed. --rounds scans the spool that many times (sleeping --poll-ms
+between scans), and --watch-catalog hot-swaps a repriced catalog file into
+a new snapshot epoch without disturbing in-flight requests.
 
 serve observability: --journal-out appends every terminal request (status,
 cause, pinned epoch, queue wait, per-stage timings) to a JSON-lines flight
@@ -157,14 +160,32 @@ StatusOr<catalog::Deployment> ParseDeployment(const std::string& text) {
                               "' (expected db or mi)");
 }
 
-StatusOr<int> ParsePositiveInt(const std::string& text, const char* what) {
+// Every integer flag is an int no larger than `max`: a larger value is
+// rejected, never wrapped (strtoll saturates past long long, so that is
+// rejected too).
+StatusOr<int> ParsePositiveInt(const std::string& text, const char* what,
+                               int max = std::numeric_limits<int>::max()) {
   char* end = nullptr;
-  const long value = std::strtol(text.c_str(), &end, 10);
+  const long long value = std::strtoll(text.c_str(), &end, 10);
   if (end == text.c_str() || !Trim(end).empty() || value <= 0) {
     return InvalidArgumentError(std::string(what) + " must be a positive "
                                 "integer, got '" + text + "'");
   }
+  if (value > max) {
+    return InvalidArgumentError(std::string(what) + " must be at most " +
+                                std::to_string(max) + ", got '" + text + "'");
+  }
   return static_cast<int>(value);
+}
+
+// Each --jobs worker is an OS thread; past this many a run gains nothing
+// on any host and risks the OS refusing a thread.
+constexpr int kMaxJobs = 256;
+
+// --jobs of assess-batch and serve, or `fallback` when it is not given.
+StatusOr<int> ParseJobs(const CliOptions& options, int fallback) {
+  if (!options.Has("jobs")) return fallback;
+  return ParsePositiveInt(options.Get("jobs"), "--jobs", kMaxJobs);
 }
 
 // Loads the catalog from --catalog, or generates the default one.
@@ -346,6 +367,47 @@ StatusOr<int> RunAssessTargets(const CliOptions& options,
   return failed == 0 ? 0 : 1;
 }
 
+// The human-readable `assess` report.
+std::string RenderAssessmentText(const AssessmentOutcome& outcome) {
+  std::ostringstream out;
+  out << RenderRecommendationReport(outcome.instance_trace, outcome.elastic);
+  out << "\nTelemetry quality: " << outcome.quality.Summary() << "\n";
+  if (!outcome.stage_timings.empty()) {
+    out << "Stage timings:";
+    for (const StageTiming& timing : outcome.stage_timings) {
+      out << " " << timing.stage << " "
+          << FormatDouble(timing.seconds * 1000.0, 2) << " ms;";
+    }
+    out << "\n";
+  }
+  out << "\n"
+      << RenderNegotiabilityReport(outcome.instance_trace, outcome.target);
+  if (outcome.confidence.has_value()) {
+    out << "\nConfidence: " << FormatPercent(outcome.confidence->score, 0)
+        << " (" << outcome.confidence->matching_runs << "/"
+        << outcome.confidence->runs << " bootstrap runs agree)\n";
+  }
+  if (outcome.baseline.ok()) {
+    out << "Legacy baseline pick: " << outcome.baseline->sku.DisplayName()
+        << " at " << FormatDollars(outcome.baseline->monthly_cost, 0)
+        << "/month\n";
+  } else {
+    out << "Legacy baseline: no SKU meets every scalar requirement\n";
+  }
+  if (outcome.rightsizing.has_value()) {
+    out << "Right-sizing: "
+        << (outcome.rightsizing->over_provisioned ? "OVER-PROVISIONED"
+                                                  : "well sized")
+        << "; moving to " << outcome.rightsizing->recommended.sku.DisplayName()
+        << " saves " << FormatDollars(outcome.rightsizing->annual_savings, 0)
+        << "/year\n";
+  } else if (!outcome.rightsizing_skip_reason.empty()) {
+    out << "Right-sizing: skipped (" << outcome.rightsizing_skip_reason
+        << ")\n";
+  }
+  return out.str();
+}
+
 StatusOr<int> RunAssess(const CliOptions& options, std::ostream& out) {
   const std::string trace_path = options.Get("trace");
   if (trace_path.empty()) {
@@ -388,47 +450,56 @@ StatusOr<int> RunAssess(const CliOptions& options, std::ostream& out) {
   }
   DOPPLER_ASSIGN_OR_RETURN(AssessmentOutcome outcome,
                            pipeline.Assess(request));
-
-  if (options.Has("json")) {
-    out << RenderAssessmentJson(outcome) << "\n";
-    return 0;
+  std::string rendered;
+  {
+    DOPPLER_TRACE_SPAN("dma.render");
+    rendered = options.Has("json") ? RenderAssessmentJson(outcome) + "\n"
+                                   : RenderAssessmentText(outcome);
   }
-  out << RenderRecommendationReport(outcome.instance_trace, outcome.elastic);
-  out << "\nTelemetry quality: " << outcome.quality.Summary() << "\n";
-  if (!outcome.stage_timings.empty()) {
-    out << "Stage timings:";
-    for (const StageTiming& timing : outcome.stage_timings) {
-      out << " " << timing.stage << " "
-          << FormatDouble(timing.seconds * 1000.0, 2) << " ms;";
-    }
-    out << "\n";
-  }
-  out << "\n"
-      << RenderNegotiabilityReport(outcome.instance_trace, request.target);
-  if (outcome.confidence.has_value()) {
-    out << "\nConfidence: " << FormatPercent(outcome.confidence->score, 0)
-        << " (" << outcome.confidence->matching_runs << "/"
-        << outcome.confidence->runs << " bootstrap runs agree)\n";
-  }
-  if (outcome.baseline.ok()) {
-    out << "Legacy baseline pick: " << outcome.baseline->sku.DisplayName()
-        << " at " << FormatDollars(outcome.baseline->monthly_cost, 0)
-        << "/month\n";
-  } else {
-    out << "Legacy baseline: no SKU meets every scalar requirement\n";
-  }
-  if (outcome.rightsizing.has_value()) {
-    out << "Right-sizing: "
-        << (outcome.rightsizing->over_provisioned ? "OVER-PROVISIONED"
-                                                  : "well sized")
-        << "; moving to " << outcome.rightsizing->recommended.sku.DisplayName()
-        << " saves " << FormatDollars(outcome.rightsizing->annual_savings, 0)
-        << "/year\n";
-  } else if (!outcome.rightsizing_skip_reason.empty()) {
-    out << "Right-sizing: skipped (" << outcome.rightsizing_skip_reason
-        << ")\n";
-  }
+  DOPPLER_TRACE_SPAN("dma.write");
+  out << rendered;
   return 0;
+}
+
+// One assess-batch slot, filled in by the worker that claimed it: whether
+// the trace was assessed, and its JSON fragment or table row.
+struct BatchSlot {
+  bool ok = false;
+  std::string json;
+  std::vector<std::string> row;
+};
+
+// Reads and gates one batch trace, then assesses it.
+StatusOr<AssessmentOutcome> AssessTraceFile(
+    const SkuRecommendationPipeline& pipeline, const std::string& path,
+    const std::string& customer_id, catalog::Deployment deployment,
+    quality::QualityPolicy policy) {
+  quality::GateOptions gate;
+  gate.policy = policy;
+  DOPPLER_ASSIGN_OR_RETURN(quality::GatedTrace gated,
+                           quality::ReadTraceFileGated(path, gate));
+  AssessmentRequest request;
+  request.customer_id = customer_id;
+  request.target = deployment;
+  request.database_traces = {std::move(gated.trace)};
+  request.quality_policy = policy;
+  request.ingest_quality = std::move(gated.report);
+  return pipeline.Assess(request);
+}
+
+// The text report's row of one batch slot.
+std::vector<std::string> BatchRow(const std::string& customer_id,
+                                  const StatusOr<AssessmentOutcome>& outcome) {
+  if (!outcome.ok()) {
+    return {customer_id,
+            "error: " + std::string(outcome.status().message()), "-", "-",
+            "-"};
+  }
+  const core::Recommendation& elastic = outcome->elastic;
+  return {customer_id, elastic.sku.DisplayName(),
+          FormatDollars(elastic.monthly_cost, 0),
+          FormatPercent(elastic.throttling_probability, 1),
+          core::CurveShapeName(elastic.curve_shape)};
 }
 
 StatusOr<int> RunAssessBatch(const CliOptions& options, std::ostream& out) {
@@ -436,11 +507,23 @@ StatusOr<int> RunAssessBatch(const CliOptions& options, std::ostream& out) {
   if (dir.empty()) {
     return InvalidArgumentError("assess-batch requires --traces <directory>");
   }
+  DOPPLER_ASSIGN_OR_RETURN(
+      const int jobs,
+      ParseJobs(options, exec::ThreadPool::HardwareConcurrency()));
+  quality::QualityPolicy policy = quality::QualityPolicy::kRepair;
+  if (options.Has("quality") &&
+      !quality::ParseQualityPolicy(options.Get("quality"), &policy)) {
+    return InvalidArgumentError("unknown quality policy '" +
+                                options.Get("quality") +
+                                "' (expected strict, repair or permissive)");
+  }
+  DOPPLER_ASSIGN_OR_RETURN(catalog::Deployment deployment,
+                           ParseDeployment(options.Get("target", "db")));
   std::error_code ec;
   if (!std::filesystem::is_directory(dir, ec)) {
     return InvalidArgumentError("--traces '" + dir + "' is not a directory");
   }
-  // Lexicographic file order fixes both the customer ids and the request
+  // Lexicographic file order fixes both the customer ids and the slot
   // order, so the batch report is reproducible run to run.
   std::vector<std::filesystem::path> files;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
@@ -456,106 +539,59 @@ StatusOr<int> RunAssessBatch(const CliOptions& options, std::ostream& out) {
     return NotFoundError("no *.csv traces under '" + dir + "'");
   }
 
-  int jobs = 0;  // 0 = one per hardware thread.
-  if (options.Has("jobs")) {
-    DOPPLER_ASSIGN_OR_RETURN(jobs,
-                             ParsePositiveInt(options.Get("jobs"), "--jobs"));
-  }
-  quality::QualityPolicy policy = quality::QualityPolicy::kRepair;
-  if (options.Has("quality") &&
-      !quality::ParseQualityPolicy(options.Get("quality"), &policy)) {
-    return InvalidArgumentError("unknown quality policy '" +
-                                options.Get("quality") +
-                                "' (expected strict, repair or permissive)");
-  }
-  DOPPLER_ASSIGN_OR_RETURN(catalog::Deployment deployment,
-                           ParseDeployment(options.Get("target", "db")));
   DOPPLER_ASSIGN_OR_RETURN(catalog::SkuCatalog skus, ResolveCatalog(options));
   DOPPLER_ASSIGN_OR_RETURN(core::GroupModel profiles,
                            ResolveProfiles(options, skus, deployment, out));
-  SkuRecommendationPipeline::Config config;
-  config.num_threads = jobs;  // --jobs drives both fan-out levels.
   DOPPLER_ASSIGN_OR_RETURN(
       SkuRecommendationPipeline pipeline,
-      SkuRecommendationPipeline::Create(
-          {std::move(skus), std::move(profiles)}, config));
+      SkuRecommendationPipeline::Create({std::move(skus),
+                                         std::move(profiles)}));
 
-  // Ingestion stays on the calling thread (the gate reads files); only the
-  // assessments fan out. Read failures become error slots so one bad file
-  // never sinks the batch.
-  std::vector<std::string> customer_ids;
-  std::vector<std::size_t> request_index(files.size());
-  std::vector<AssessmentRequest> requests;
-  std::vector<StatusOr<AssessmentOutcome>> results;
-  results.reserve(files.size());
-  quality::GateOptions gate;
-  gate.policy = policy;
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    customer_ids.push_back(files[i].filename().string());
-    StatusOr<quality::GatedTrace> gated =
-        quality::ReadTraceFileGated(files[i].string(), gate);
-    if (!gated.ok()) {
-      request_index[i] = static_cast<std::size_t>(-1);
-      results.emplace_back(gated.status());
-      continue;
+  // Each file is one slot, and the worker that claims it reads, gates,
+  // assesses and renders it, then drops the outcome: at most `jobs` traces
+  // are in memory at once. A read, gate or assess failure renders as the
+  // slot's error entry, so one bad file never sinks the batch.
+  const bool json = options.Has("json");
+  AssessmentJsonOptions json_options;
+  json_options.include_stage_seconds = options.Has("timings");
+  std::vector<BatchSlot> slots(files.size());
+  const exec::FleetAssessor assessor(&pipeline, jobs);
+  assessor.ForEachSlot(files.size(), [&](std::size_t i) {
+    const std::string customer_id = files[i].filename().string();
+    const StatusOr<AssessmentOutcome> outcome = AssessTraceFile(
+        pipeline, files[i].string(), customer_id, deployment, policy);
+    DOPPLER_TRACE_SPAN("dma.render");
+    slots[i].ok = outcome.ok();
+    if (json) {
+      slots[i].json = RenderFleetSlotJson(customer_id, outcome, json_options);
+    } else {
+      slots[i].row = BatchRow(customer_id, outcome);
     }
-    AssessmentRequest request;
-    request.customer_id = customer_ids.back();
-    request.target = deployment;
-    request.database_traces = {std::move(gated->trace)};
-    request.quality_policy = policy;
-    request.ingest_quality = std::move(gated->report);
-    request_index[i] = requests.size();
-    requests.push_back(std::move(request));
-    results.emplace_back(InternalError("request not assessed"));
-  }
-
-  const exec::FleetAssessor assessor(&pipeline, jobs == 0
-                                                    ? exec::ThreadPool::
-                                                          HardwareConcurrency()
-                                                    : jobs);
-  std::vector<StatusOr<AssessmentOutcome>> assessed =
-      assessor.AssessAll(requests);
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    if (request_index[i] != static_cast<std::size_t>(-1)) {
-      results[i] = std::move(assessed[request_index[i]]);
-    }
-  }
+  });
 
   std::size_t failed = 0;
-  for (const auto& result : results) failed += !result.ok();
-
+  for (const BatchSlot& slot : slots) failed += !slot.ok;
   std::string rendered;
-  if (options.Has("json")) {
-    AssessmentJsonOptions json_options;
-    json_options.include_stage_seconds = options.Has("timings");
-    rendered = RenderFleetAssessmentJson(customer_ids, results, json_options);
+  if (json) {
+    std::vector<std::string> fragments;
+    fragments.reserve(slots.size());
+    for (BatchSlot& slot : slots) fragments.push_back(std::move(slot.json));
+    rendered = JoinFleetAssessmentJson(fragments, slots.size() - failed);
     rendered += "\n";
   } else {
     TablePrinter table({"customer", "SKU", "monthly", "P(throttle)", "curve"});
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      if (!results[i].ok()) {
-        table.AddRow({customer_ids[i],
-                      "error: " + std::string(results[i].status().message()),
-                      "-", "-", "-"});
-        continue;
-      }
-      const AssessmentOutcome& outcome = *results[i];
-      table.AddRow({customer_ids[i], outcome.elastic.sku.DisplayName(),
-                    FormatDollars(outcome.elastic.monthly_cost, 0),
-                    FormatPercent(outcome.elastic.throttling_probability, 1),
-                    core::CurveShapeName(outcome.elastic.curve_shape)});
-    }
+    for (BatchSlot& slot : slots) table.AddRow(std::move(slot.row));
     std::ostringstream text;
     table.Print(text);
-    text << "\nAssessed " << results.size() - failed << "/" << results.size()
+    text << "\nAssessed " << slots.size() - failed << "/" << slots.size()
          << " traces with " << assessor.jobs() << " job(s)\n";
     rendered = text.str();
   }
+  DOPPLER_TRACE_SPAN("dma.write");
   const std::string out_path = options.Get("out");
   if (!out_path.empty()) {
     DOPPLER_RETURN_IF_ERROR(WriteTextFileAtomic(out_path, rendered));
-    out << "wrote batch report for " << results.size() << " traces to "
+    out << "wrote batch report for " << slots.size() << " traces to "
         << out_path << "\n";
   } else {
     out << rendered;
@@ -611,10 +647,8 @@ StatusOr<int> RunServe(const CliOptions& options, std::ostream& out) {
     return InvalidArgumentError("serve requires --spool <directory>");
   }
   serve::ServiceOptions service_options;
-  if (options.Has("jobs")) {
-    DOPPLER_ASSIGN_OR_RETURN(service_options.workers,
-                             ParsePositiveInt(options.Get("jobs"), "--jobs"));
-  }
+  DOPPLER_ASSIGN_OR_RETURN(service_options.workers,
+                           ParseJobs(options, service_options.workers));
   if (options.Has("queue-depth")) {
     DOPPLER_ASSIGN_OR_RETURN(
         service_options.queue_depth,

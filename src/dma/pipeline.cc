@@ -116,9 +116,9 @@ StatusOr<SkuRecommendationPipeline> SkuRecommendationPipeline::Create(
   pipeline.baseline_ = std::make_unique<core::BaselineRecommender>(
       pipeline.compiled_.get(), config.baseline_quantile);
 
-  // Execution pool for the per-SKU probability scans. num_threads == 1 (or
-  // auto on a single-core host) keeps the engine strictly serial; either
-  // way the assessment bytes are identical.
+  // Execution pool for the per-SKU probability scans, only when the caller
+  // asks for one (num_threads > 1, or 0 on a multi-core host); either way
+  // the assessment bytes are identical.
   const int threads = config.num_threads == 0
                           ? exec::ThreadPool::HardwareConcurrency()
                           : config.num_threads;

@@ -62,11 +62,13 @@ class SkuRecommendationPipeline {
     double rho = 0.10;  ///< Thresholding-duration cutoff.
     core::ConfidenceOptions confidence;
     std::uint64_t confidence_seed = 19;
-    /// Worker threads for the per-SKU curve build: 0 picks the hardware
-    /// concurrency, 1 keeps the engine strictly serial (no pool is
-    /// created), >1 sizes the pool. Assessments are bit-identical at every
-    /// setting — parallelism changes wall-clock only.
-    int num_threads = 0;
+    /// Worker threads for the per-SKU curve build. The default 1 keeps the
+    /// engine strictly serial (no pool is created): the request workers
+    /// (exec::FleetAssessor, the serve pool) are the one level of
+    /// parallelism, and no CLI command sets this. 0 picks the hardware
+    /// concurrency, >1 sizes the pool. Assessments are bit-identical at
+    /// every setting — parallelism changes wall-clock only.
+    int num_threads = 1;
     /// Default MI layout (used when an MI request carries no file layout):
     /// allocated size to assume, in GB, when the trace never reported a
     /// storage counter. Mirrors DMA's single-data-file default for small
@@ -153,9 +155,6 @@ class SkuRecommendationPipeline {
   /// The immutable compiled snapshot every assessment reads.
   const catalog::CompiledCatalog& compiled() const { return *compiled_; }
   const core::GroupModel& group_model() const { return *group_model_; }
-  /// The pipeline's SKU-scoring pool; nullptr when the engine is serial
-  /// (num_threads == 1 or single-core auto detection).
-  exec::ThreadPool* executor() const { return pool_.get(); }
 
  private:
   SkuRecommendationPipeline() = default;

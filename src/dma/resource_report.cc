@@ -292,42 +292,53 @@ std::string RenderAssessmentJson(const AssessmentOutcome& outcome,
   return json.str();
 }
 
+std::string RenderFleetSlotJson(const std::string& customer_id,
+                                const StatusOr<AssessmentOutcome>& outcome,
+                                const AssessmentJsonOptions& options) {
+  if (outcome.ok()) return RenderAssessmentJson(*outcome, options);
+  // Failed slots carry a machine-readable status so batch callers can
+  // route on the code without parsing prose.
+  JsonWriter error;
+  error.BeginObject();
+  error.Key("customer_id").String(customer_id);
+  error.Key("status").BeginObject();
+  error.Key("code").String(StatusCodeToString(outcome.status().code()));
+  error.Key("message").String(outcome.status().message());
+  error.EndObject();
+  error.EndObject();
+  return error.str();
+}
+
+std::string JoinFleetAssessmentJson(const std::vector<std::string>& slots,
+                                    std::size_t succeeded) {
+  // Slot documents are spliced into the array verbatim (the writer emits
+  // compact JSON, so concatenation stays well-formed).
+  std::string out = "{\"fleet_size\":" + std::to_string(slots.size()) +
+                    ",\"succeeded\":" + std::to_string(succeeded) +
+                    ",\"failed\":" +
+                    std::to_string(slots.size() - succeeded) +
+                    ",\"assessments\":[";
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (i > 0) out += ",";
+    out += slots[i];
+  }
+  out += "]}";
+  return out;
+}
+
 std::string RenderFleetAssessmentJson(
     const std::vector<std::string>& customer_ids,
     const std::vector<StatusOr<AssessmentOutcome>>& outcomes,
     const AssessmentJsonOptions& options) {
+  std::vector<std::string> slots;
+  slots.reserve(outcomes.size());
   std::size_t succeeded = 0;
-  for (const auto& outcome : outcomes) succeeded += outcome.ok();
-  // Per-assessment documents are emitted by RenderAssessmentJson and
-  // spliced into the array verbatim (the writer emits compact JSON, so
-  // concatenation stays well-formed).
-  std::string out = "{\"fleet_size\":" + std::to_string(outcomes.size()) +
-                    ",\"succeeded\":" + std::to_string(succeeded) +
-                    ",\"failed\":" +
-                    std::to_string(outcomes.size() - succeeded) +
-                    ",\"assessments\":[";
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (i > 0) out += ",";
-    if (outcomes[i].ok()) {
-      out += RenderAssessmentJson(*outcomes[i], options);
-    } else {
-      // Failed slots carry a machine-readable status so batch callers can
-      // route on the code without parsing prose.
-      JsonWriter error;
-      error.BeginObject();
-      error.Key("customer_id")
-          .String(i < customer_ids.size() ? customer_ids[i] : "");
-      error.Key("status").BeginObject();
-      error.Key("code").String(
-          StatusCodeToString(outcomes[i].status().code()));
-      error.Key("message").String(outcomes[i].status().message());
-      error.EndObject();
-      error.EndObject();
-      out += error.str();
-    }
+    succeeded += outcomes[i].ok();
+    slots.push_back(RenderFleetSlotJson(
+        i < customer_ids.size() ? customer_ids[i] : "", outcomes[i], options));
   }
-  out += "]}";
-  return out;
+  return JoinFleetAssessmentJson(slots, succeeded);
 }
 
 }  // namespace doppler::dma

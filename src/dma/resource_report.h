@@ -1,7 +1,9 @@
 #ifndef DOPPLER_DMA_RESOURCE_REPORT_H_
 #define DOPPLER_DMA_RESOURCE_REPORT_H_
 
+#include <cstddef>
 #include <string>
+#include <vector>
 
 #include "core/recommender.h"
 #include "dma/pipeline.h"
@@ -53,10 +55,22 @@ std::string RenderAssessmentJson(const AssessmentOutcome& outcome);
 std::string RenderAssessmentJson(const AssessmentOutcome& outcome,
                                  const AssessmentJsonOptions& options);
 
-/// Batch document for `doppler assess-batch --json`: one entry per request
-/// in request order — the full assessment JSON on success, a
-/// {customer_id, error} object on per-request failure. `customer_ids`
-/// aligns with `outcomes` (error slots have no outcome to name themselves).
+/// One slot of the batch document: the full assessment JSON on success, a
+/// {customer_id, status{code, message}} object on failure (an error slot
+/// has no outcome to name itself, hence `customer_id`). A batch worker
+/// renders its own slot, so this runs concurrently across slots.
+std::string RenderFleetSlotJson(const std::string& customer_id,
+                                const StatusOr<AssessmentOutcome>& outcome,
+                                const AssessmentJsonOptions& options);
+
+/// The batch document around rendered slots, in slot order: the
+/// fleet_size / succeeded / failed header, then the slots verbatim.
+std::string JoinFleetAssessmentJson(const std::vector<std::string>& slots,
+                                    std::size_t succeeded);
+
+/// Batch document for `doppler assess-batch --json`: one
+/// RenderFleetSlotJson entry per request in request order, joined by
+/// JoinFleetAssessmentJson. `customer_ids` aligns with `outcomes`.
 std::string RenderFleetAssessmentJson(
     const std::vector<std::string>& customer_ids,
     const std::vector<StatusOr<AssessmentOutcome>>& outcomes,

@@ -1,32 +1,42 @@
 #ifndef DOPPLER_EXEC_FLEET_ASSESSOR_H_
 #define DOPPLER_EXEC_FLEET_ASSESSOR_H_
 
-#include <memory>
+#include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "dma/pipeline.h"
-#include "exec/thread_pool.h"
 #include "util/statusor.h"
 
 namespace doppler::exec {
 
-/// Fans a batch of assessment requests across a request-level worker pool
-/// (paper §4: DMA assesses whole estates, one SKU recommendation per
-/// database server). Each request lands in its own pre-sized result slot,
-/// so the output vector is in request order and byte-identical to running
-/// the requests serially — `jobs` changes wall-clock only.
+/// The system's one level of parallelism (paper §4: DMA assesses whole
+/// estates, one SKU recommendation per database server). A batch is a row
+/// of slots; ForEachSlot runs up to `jobs` workers, and each worker claims
+/// the next unclaimed slot and does all of that slot's work — in
+/// `doppler assess-batch`, read, gate, assess and render one trace — before
+/// it claims another. Each slot writes only its own caller-owned result,
+/// so the results are in slot order and byte-identical to a serial run:
+/// `jobs` changes wall-clock only.
 ///
-/// The request-level pool is separate from the pipeline's SKU-scoring pool
-/// (SkuRecommendationPipeline::executor()), so a worker blocked inside
-/// Assess never waits on its own pool; combined with the pools'
-/// caller-runs overflow policy this makes the two-level fan-out
-/// deadlock-free.
+/// Nothing fans out below the workers: the pipeline scores SKUs serially
+/// unless its caller sets SkuRecommendationPipeline::Config::num_threads.
 class FleetAssessor {
  public:
-  /// Borrows `pipeline` (must outlive the assessor). `jobs <= 1` assesses
-  /// inline on the calling thread; otherwise a dedicated pool of `jobs`
-  /// workers is spun up for the assessor's lifetime.
+  /// Borrows `pipeline` (must outlive the assessor). `jobs < 1` counts as
+  /// one job. The assessor holds no threads between calls.
   FleetAssessor(const dma::SkuRecommendationPipeline* pipeline, int jobs);
+
+  /// Runs `slot(i)` once for every i in [0, n) on min(jobs, n) threads,
+  /// the calling thread being one of them, and returns when every slot
+  /// has run. Each thread claims the next unclaimed index, so slots of
+  /// uneven cost balance across the threads. No thread starts when
+  /// min(jobs, n) <= 1; a thread the OS refuses to start leaves its
+  /// share to the threads that did. If a slot throws, the threads claim
+  /// no more slots, and the first exception is rethrown here once every
+  /// thread has stopped.
+  void ForEachSlot(std::size_t n,
+                   const std::function<void(std::size_t)>& slot) const;
 
   /// Assesses every request; result i corresponds to requests[i]. Per-
   /// request failures are carried as error slots, never thrown across the
@@ -47,7 +57,6 @@ class FleetAssessor {
  private:
   const dma::SkuRecommendationPipeline* pipeline_;
   int jobs_;
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace doppler::exec

@@ -62,9 +62,12 @@ class ThreadPool {
   /// depend only on `n` and the pool size — never on scheduling — so
   /// callers that write results by index get identical output at any
   /// thread count. The curve build (PricePerformanceCurve::Build) fans its
-  /// per-candidate Eq. 1 scans out through here; any state the workers
-  /// share must keep both results AND counter charges
-  /// schedule-independent to uphold the DESIGN.md §7 determinism contract.
+  /// per-candidate Eq. 1 scans out through here only when a caller sets
+  /// SkuRecommendationPipeline::Config::num_threads above 1; the CLI and
+  /// the serve workers never do, so their assessments score SKUs serially.
+  /// Any state the workers share must keep both results AND counter
+  /// charges schedule-independent to uphold the DESIGN.md §7 determinism
+  /// contract.
   void ParallelFor(std::size_t n,
                    const std::function<void(std::size_t, std::size_t)>& fn);
 

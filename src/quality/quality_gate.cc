@@ -617,7 +617,11 @@ StatusOr<GatedTrace> GateTrace(const PerfTrace& trace,
 
 StatusOr<GatedTrace> ReadTraceFileGated(const std::string& path,
                                         const GateOptions& options) {
-  DOPPLER_ASSIGN_OR_RETURN(CsvTable table, CsvTable::ReadFile(path));
+  CsvTable table;
+  {
+    DOPPLER_TRACE_SPAN("telemetry.read");
+    DOPPLER_ASSIGN_OR_RETURN(table, CsvTable::ReadFile(path));
+  }
   return GateTraceCsv(table, options);
 }
 

@@ -66,7 +66,8 @@ StatusOr<GatedTrace> GateTraceCsv(const CsvTable& table,
 StatusOr<GatedTrace> GateTrace(const telemetry::PerfTrace& trace,
                                const GateOptions& options);
 
-/// Reads a trace CSV file through the gate (the CLI's ingestion path).
+/// Reads a trace CSV file through the gate (the CLI's ingestion path). The
+/// read is traced as `telemetry.read`, the gate as `quality.gate_csv`.
 StatusOr<GatedTrace> ReadTraceFileGated(const std::string& path,
                                         const GateOptions& options);
 

@@ -1,6 +1,7 @@
 // Tests for the capacity-forecast module and the command-line front-end.
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -255,6 +256,87 @@ TEST(CliRunTest, RejectsMisspelledFlag) {
                     "jbos");
 }
 
+// A two-day CPU + IOPS trace written to `path`.
+void WriteSmallTrace(const std::string& path) {
+  Rng rng(5);
+  workload::WorkloadSpec spec;
+  spec.name = "small";
+  spec.dims[ResourceDim::kCpu] =
+      workload::DimensionSpec::DailyPeriodic(1.0, 0.5);
+  spec.dims[ResourceDim::kIops] =
+      workload::DimensionSpec::DailyPeriodic(300.0, 200.0);
+  StatusOr<telemetry::PerfTrace> trace =
+      workload::GenerateTrace(spec, 2.0, &rng);
+  ASSERT_TRUE(trace.ok());
+  ASSERT_TRUE(telemetry::WriteTraceFile(*trace, path).ok());
+}
+
+// `args` fails as INVALID_ARGUMENT (exit 3) with `message` in its output.
+void ExpectInvalidFlag(const std::vector<std::string>& args,
+                       const std::string& message) {
+  std::ostringstream out;
+  EXPECT_EQ(dma::CliMain(args, out), 3) << out.str();
+  EXPECT_NE(out.str().find(message), std::string::npos) << out.str();
+}
+
+// An integer flag past INT_MAX used to wrap: --jobs 4294967297 ran one job
+// and --seed 4294967296 fitted with seed 0. Each is now refused, naming the
+// flag, before anything runs.
+TEST(CliRunTest, RejectsIntegerFlagsThatWrap) {
+  const PrivateTempDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string trace = dir.path() + "/small.csv";
+  WriteSmallTrace(trace);
+  const std::string empty = dir.path() + "/empty";
+  ASSERT_TRUE(std::filesystem::create_directory(empty));
+  ExpectInvalidFlag(
+      {"assess-batch", "--traces", dir.path(), "--jobs", "4294967297"},
+      "--jobs must be at most 256, got '4294967297'");
+  ExpectInvalidFlag(
+      {"assess-batch", "--traces", dir.path(), "--jobs", "2147483648"},
+      "--jobs must be at most 256, got '2147483648'");
+  ExpectInvalidFlag({"serve", "--spool", empty, "--jobs", "4294967297"},
+                    "--jobs must be at most 256");
+  const std::string too_big = " must be at most 2147483647, got '";
+  ExpectInvalidFlag({"serve", "--spool", empty, "--queue-depth", "4294967297"},
+                    "--queue-depth" + too_big);
+  ExpectInvalidFlag({"fit-profiles", "--customers", "5", "--seed",
+                     "4294967296", "--out", dir.path() + "/model.csv"},
+                    "--seed" + too_big);
+  ExpectInvalidFlag({"forecast", "--trace", trace, "--months", "4294967308"},
+                    "--months" + too_big);
+  ExpectInvalidFlag({"monitor", "--spool", empty, "--rounds",
+                     "99999999999999999999999"},
+                    "--rounds" + too_big);
+}
+
+// Each --jobs worker is a thread: assess-batch and serve refuse more than
+// 256 before they start any.
+TEST(CliRunTest, RejectsJobsAboveTheBound) {
+  const PrivateTempDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  WriteSmallTrace(dir.path() + "/small.csv");
+  for (const char* jobs : {"257", "100000"}) {
+    SCOPED_TRACE(jobs);
+    const std::string message =
+        std::string("--jobs must be at most 256, got '") + jobs + "'";
+    ExpectInvalidFlag({"assess-batch", "--traces", dir.path(), "--jobs", jobs},
+                      message);
+    ExpectInvalidFlag({"serve", "--spool", dir.path(), "--jobs", jobs},
+                      message);
+  }
+  // The bound itself is a valid job count (one trace starts no thread).
+  std::ostringstream out;
+  EXPECT_EQ(dma::CliMain({"assess-batch", "--traces", dir.path(), "--jobs",
+                          "256"},
+                         out),
+            0)
+      << out.str();
+  EXPECT_NE(out.str().find("Assessed 1/1 traces with 256 job(s)"),
+            std::string::npos)
+      << out.str();
+}
+
 class CliFlowTest : public ::testing::Test {
  protected:
   static std::string TempPath(const char* name) {
@@ -351,6 +433,20 @@ TEST_F(CliFlowTest, DefaultFitProfilesLoadsBackAsTheShippedModel) {
   }
 }
 
+// The number of spans named `name` in a Chrome trace file.
+std::size_t SpanCount(const std::string& trace_path, const std::string& name) {
+  std::ifstream in(trace_path);
+  const std::string trace((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  const std::string key = "\"name\":\"" + name + "\"";
+  std::size_t count = 0;
+  for (std::size_t at = trace.find(key); at != std::string::npos;
+       at = trace.find(key, at + 1)) {
+    ++count;
+  }
+  return count;
+}
+
 // The model phase is named in the trace: a plain assess loads the shipped
 // model, and --extended fits one on its own catalog.
 TEST_F(CliFlowTest, TracedAssessNamesTheModelPhase) {
@@ -362,21 +458,35 @@ TEST_F(CliFlowTest, TracedAssessNamesTheModelPhase) {
     if (extended) args.push_back("--extended");
     std::ostringstream out;
     ASSERT_EQ(dma::CliMain(args, out), 0) << out.str();
-    std::ifstream in(TempPath("cli_spans.json"));
-    const std::string trace((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-    const auto spans = [&trace](const std::string& name) {
-      const std::string key = "\"name\":\"" + name + "\"";
-      std::size_t count = 0;
-      for (std::size_t at = trace.find(key); at != std::string::npos;
-           at = trace.find(key, at + 1)) {
-        ++count;
-      }
-      return count;
-    };
-    EXPECT_EQ(spans("dma.model_load"), extended ? 0u : 1u);
-    EXPECT_EQ(spans("dma.model_fit"), extended ? 1u : 0u);
+    const std::string spans = TempPath("cli_spans.json");
+    EXPECT_EQ(SpanCount(spans, "dma.model_load"), extended ? 0u : 1u);
+    EXPECT_EQ(SpanCount(spans, "dma.model_fit"), extended ? 1u : 0u);
   }
+}
+
+// Every phase of a batch is named: each file's read, gate and render (the
+// unusable file's too), one fan-out and one report write.
+TEST_F(CliFlowTest, TracedAssessBatchNamesEveryPhase) {
+  const std::string batch = TempPath("batch");
+  ASSERT_TRUE(std::filesystem::create_directory(batch));
+  for (const char* name : {"a.csv", "b.csv", "c.csv"}) {
+    std::filesystem::copy_file(TempPath("cli_trace.csv"), batch + "/" + name);
+  }
+  std::ofstream(batch + "/broken.csv") << "bogus,columns\n1,2\n";
+  const std::string spans = TempPath("batch_spans.json");
+  std::ostringstream out;
+  ASSERT_EQ(dma::CliMain({"assess-batch", "--traces", batch, "--jobs", "2",
+                          "--json", "--out", TempPath("batch.json"),
+                          "--trace-out", spans},
+                         out),
+            1)
+      << out.str();
+  EXPECT_EQ(SpanCount(spans, "telemetry.read"), 4u);
+  EXPECT_EQ(SpanCount(spans, "quality.gate_csv"), 4u);
+  EXPECT_EQ(SpanCount(spans, "dma.render"), 4u);
+  EXPECT_EQ(SpanCount(spans, "pipeline.assess"), 3u);
+  EXPECT_EQ(SpanCount(spans, "exec.fleet_assess"), 1u);
+  EXPECT_EQ(SpanCount(spans, "dma.write"), 1u);
 }
 
 TEST_F(CliFlowTest, AssessRequiresTrace) {

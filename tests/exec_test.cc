@@ -1,9 +1,13 @@
-// The execution layer's two load-bearing promises, under test:
+// The execution layer's load-bearing promises, under test:
 //
 //  1. The ThreadPool is safe — bounded queue, caller-runs overflow, nested
 //     fan-out without deadlock — and its ParallelFor covers [0, n) exactly
 //     once with chunk boundaries that depend only on (n, pool size).
-//  2. The parallel fleet/curve paths are DETERMINISTIC: assessing the same
+//  2. The fleet slot runner (FleetAssessor::ForEachSlot) runs every slot
+//     exactly once on at most min(jobs, n) threads, on the calling thread
+//     alone when one job or one slot leaves nothing to share, and hands a
+//     slot's exception to the caller.
+//  3. The parallel fleet/curve paths are DETERMINISTIC: assessing the same
 //     fleet at --jobs 1, 2 and 8 produces byte-identical JSON reports and
 //     identical engine counter totals. Parallelism buys wall-clock only.
 //
@@ -16,6 +20,10 @@
 #include <future>
 #include <mutex>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -202,6 +210,85 @@ TEST(ThreadPoolTest, ConcurrentColumnarScansAgreeWithSerial) {
   });
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i], parallel[i]) << catalog.skus()[i].id;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The fleet slot runner: every slot once, on at most min(jobs, n) threads.
+
+// The ids of the threads that ran `n` slots at `jobs`; every 7th slot
+// costs more, and `runs[i]` counts how often slot i ran.
+std::set<std::thread::id> RunSlots(std::size_t n, int jobs,
+                                   std::vector<std::atomic<int>>* runs) {
+  const exec::FleetAssessor assessor(/*pipeline=*/nullptr, jobs);
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  assessor.ForEachSlot(n, [&](std::size_t i) {
+    (*runs)[i].fetch_add(1);
+    if (i % 7 == 0) std::this_thread::sleep_for(std::chrono::microseconds(50));
+    std::lock_guard<std::mutex> lock(mu);
+    threads.insert(std::this_thread::get_id());
+  });
+  return threads;
+}
+
+TEST(FleetSlotRunnerTest, EverySlotRunsOnceOnAtMostMinJobsThreads) {
+  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                        std::size_t{1000}}) {
+    for (int jobs : {1, 2, 8}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " jobs=" + std::to_string(jobs));
+      std::vector<std::atomic<int>> runs(n);
+      const std::set<std::thread::id> threads = RunSlots(n, jobs, &runs);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(runs[i].load(), 1) << "slot " << i;
+      }
+      EXPECT_LE(threads.size(),
+                std::min(n, static_cast<std::size_t>(jobs)));
+    }
+  }
+}
+
+TEST(FleetSlotRunnerTest, OneSlotOrOneJobRunsOnTheCallingThread) {
+  for (const auto& [n, jobs] :
+       {std::pair<std::size_t, int>{0, 8}, {1, 1}, {1, 2}, {1, 8}, {3, 1},
+        {1000, 1}}) {
+    SCOPED_TRACE("n=" + std::to_string(n) + " jobs=" + std::to_string(jobs));
+    std::vector<std::atomic<int>> runs(n);
+    const std::set<std::thread::id> threads = RunSlots(n, jobs, &runs);
+    if (n == 0) {
+      EXPECT_TRUE(threads.empty());
+    } else {
+      EXPECT_EQ(threads, std::set<std::thread::id>{std::this_thread::get_id()});
+    }
+  }
+}
+
+// A throwing slot stops the claiming, and its exception reaches the caller
+// instead of ending the process on a worker thread.
+TEST(FleetSlotRunnerTest, ASlotExceptionStopsClaimingAndReachesTheCaller) {
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    const exec::FleetAssessor assessor(/*pipeline=*/nullptr, jobs);
+    std::vector<std::atomic<int>> runs(200);
+    EXPECT_THROW(assessor.ForEachSlot(runs.size(),
+                                      [&runs](std::size_t i) {
+                                        runs[i].fetch_add(1);
+                                        if (i == 5) {
+                                          throw std::runtime_error("slot 5");
+                                        }
+                                      }),
+                 std::runtime_error);
+    int ran = 0;
+    for (const std::atomic<int>& count : runs) {
+      EXPECT_LE(count.load(), 1);
+      ran += count.load();
+    }
+    // Every slot claimed before slot 5 ran; alone, nothing ran after it.
+    if (jobs == 1) {
+      EXPECT_EQ(ran, 6);
+    } else {
+      EXPECT_GE(ran, 6);
+    }
   }
 }
 

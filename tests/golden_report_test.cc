@@ -10,7 +10,7 @@
 //   DOPPLER_UPDATE_GOLDEN=1 ./golden_report_test
 //
 // rewrites examples/golden/*.json (and monitor_drift.jsonl,
-// cli_default.jsonl) and the shipped group-model table
+// cli_default.jsonl, cli_batch.txt) and the shipped group-model table
 // src/dma/shipped_models.inc in the source tree; review the diff like any
 // other code change. A new table takes effect only after a rebuild, so
 // after regenerating it, rebuild and run the update once more to render
@@ -31,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include "bitwise_model.h"
+#include "private_temp_dir.h"
 #include "catalog/catalog.h"
 #include "core/throttling.h"
 #include "dma/cli.h"
@@ -41,6 +42,7 @@
 #include "obs/trace.h"
 #include "quality/quality_gate.h"
 #include "stream/monitor.h"
+#include "util/string_util.h"
 #include "workload/generator.h"
 
 #ifndef DOPPLER_SOURCE_DIR
@@ -272,6 +274,81 @@ TEST_F(GoldenReportTest, CliDefaultPathMatchesGolden) {
     }
   }
   CompareWithGolden("cli_default.jsonl", rendered);
+}
+
+// `line` with its comma-separated cell `column` replaced by `cell`.
+std::string WithCell(const std::string& line, std::size_t column,
+                     const std::string& cell) {
+  std::vector<std::string> cells = Split(line, ',');
+  cells.at(column) = cell;
+  return Join(cells, ",");
+}
+
+// The batch path DMA runs over an estate: `doppler assess-batch` over a
+// directory of clean, repairable and unusable traces. The JSON report, at
+// every job count and as written by --out, followed by the text report,
+// must equal the golden byte for byte; the failed slots make every run
+// exit 1.
+TEST_F(GoldenReportTest, AssessBatchMatchesGoldenAtEveryJobCount) {
+  const PrivateTempDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string traces = dir.path() + "/traces";
+  ASSERT_TRUE(std::filesystem::create_directory(traces));
+  for (const char* name : {"bursty_dw", "spiky_batch", "steady_oltp"}) {
+    std::filesystem::copy_file(TracePath(name),
+                               traces + "/" + name + ".csv");
+  }
+  // steady_oltp with a duplicated row, a nan cell, a negative cell and two
+  // swapped rows: the repair gate fixes every one.
+  StatusOr<std::string> steady = ReadFile(TracePath("steady_oltp"));
+  ASSERT_TRUE(steady.ok()) << steady.status().ToString();
+  // Header, 288 rows, and the empty field after the final newline.
+  std::vector<std::string> dirty = Split(*steady, '\n');
+  ASSERT_EQ(dirty.size(), 290u);
+  dirty[20] = WithCell(dirty[20], 1, "nan");
+  dirty[30] = WithCell(dirty[30], 3, "-5.0000");
+  std::swap(dirty[40], dirty[41]);
+  dirty.insert(dirty.begin() + 11, dirty[10]);
+  ASSERT_TRUE(
+      WriteFile(traces + "/steady_oltp_dirty.csv", Join(dirty, "\n")).ok());
+  // No t_seconds column, and a 60-slot collector gap: both fail their slot.
+  ASSERT_TRUE(WriteFile(traces + "/broken.csv", "bogus,columns\n1,2\n").ok());
+  StatusOr<std::string> spiky = ReadFile(TracePath("spiky_batch"));
+  ASSERT_TRUE(spiky.ok()) << spiky.status().ToString();
+  std::vector<std::string> gap = Split(*spiky, '\n');
+  gap.erase(gap.begin() + 100, gap.begin() + 160);
+  ASSERT_TRUE(WriteFile(traces + "/gap.csv", Join(gap, "\n")).ok());
+
+  const auto batch = [&traces](const std::vector<std::string>& flags) {
+    std::vector<std::string> args = {"assess-batch", "--traces", traces};
+    args.insert(args.end(), flags.begin(), flags.end());
+    std::ostringstream out;
+    EXPECT_EQ(dma::CliMain(args, out), 1) << out.str();
+    return out.str();
+  };
+  const std::string text = batch({"--jobs", "2"});
+  std::vector<std::pair<std::string, std::string>> reports;
+  for (const char* jobs : {"1", "2", "3", "8"}) {
+    reports.emplace_back(std::string("--json --jobs ") + jobs,
+                         batch({"--json", "--jobs", jobs}));
+  }
+  const std::string out_path = dir.path() + "/report.json";
+  EXPECT_NE(batch({"--json", "--jobs", "3", "--out", out_path})
+                .find("wrote batch report for 6 traces"),
+            std::string::npos);
+  StatusOr<std::string> written = ReadFile(out_path);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  reports.emplace_back("--json --jobs 3 --out", *written);
+
+  if (UpdateMode()) {
+    CompareWithGolden("cli_batch.txt", reports.front().second + text);
+    return;
+  }
+  StatusOr<std::string> golden = ReadFile(GoldenPath("cli_batch.txt"));
+  ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+  for (const auto& [label, report] : reports) {
+    EXPECT_EQ(report + text, *golden) << label;
+  }
 }
 
 // The exact C++ literal of `value`, e.g. 0x1.8p-4.

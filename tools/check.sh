@@ -3,11 +3,13 @@
 #   1. fails if generated build trees are tracked by git,
 #   2. builds with AddressSanitizer + UBSan and runs the full tier-1 suite,
 #   3. builds with ThreadSanitizer and runs the obs concurrency tests, the
-#      exec thread-pool / fleet determinism suite, the compiled-catalog
-#      / staged-pipeline suites (many workers reading the one shared
-#      compiled snapshot and scoring one curve), the serve suite
-#      (admission queue, deadlines, RCU snapshot swaps), and the stream
-#      suite (readers racing the appender on a customer window).
+#      exec thread-pool / slot-runner / fleet determinism suite, the
+#      compiled-catalog / staged-pipeline suites (many workers reading the
+#      one shared compiled snapshot and scoring one curve), the serve
+#      suite (admission queue, deadlines, RCU snapshot swaps), the stream
+#      suite (readers racing the appender on a customer window), and the
+#      assess-batch golden (workers reading, assessing and rendering their
+#      own slots at up to --jobs 8).
 # Usage: tools/check.sh [build-dir] (default build-asan; the TSan tree
 # lands next to it with a -tsan suffix).
 #
@@ -36,10 +38,10 @@
 # the deterministic soaks (concurrent submitters + snapshot swaps +
 # pre-expired deadlines; stream readers racing the appender) so races in
 # the serving and streaming paths fail loudly, and repeats the CLI cases
-# at 4x oversubscription. It then builds the whole suite in a plain tree
-# beside the soak tree (<build-dir>-plain) and repeats all of it at 4x
-# oversubscription, so a test that shares files across processes or
-# depends on scheduling fails here, not at random.
+# and the assess-batch golden at 4x oversubscription. It then builds the
+# whole suite in a plain tree beside the soak tree (<build-dir>-plain) and
+# repeats all of it at 4x oversubscription, so a test that shares files
+# across processes or depends on scheduling fails here, not at random.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -71,7 +73,7 @@ if [[ "${1:-}" == "--soak" ]]; then
     -DDOPPLER_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "${soak_dir}" -j"$(nproc)" \
-    --target serve_test stream_test cli_forecast_test
+    --target serve_test stream_test cli_forecast_test golden_report_test
   # The whole serve suite runs once (queue saturation, deadline expiry,
   # hot swap), then the overload soak repeats to widen the interleaving
   # space TSan observes. The stream soak does the same for readers racing
@@ -84,7 +86,8 @@ if [[ "${1:-}" == "--soak" ]]; then
   # ctest runs every case in its own process: many CLI cases at once, each
   # repeated, must never see another process's files.
   TSAN_OPTIONS="halt_on_error=1" ctest --test-dir "${soak_dir}" \
-    --output-on-failure -R 'CliFlowTest|CliRunTest' \
+    --output-on-failure \
+    -R 'CliFlowTest|CliRunTest|GoldenReportTest.AssessBatchMatchesGolden' \
     -j$((4 * $(nproc))) --repeat until-fail:20
   # The whole tier-1 suite, unsanitized so it runs at full speed, five
   # times over at 4x oversubscription.
@@ -139,7 +142,7 @@ cmake -B "${tsan_dir}" -S "${repo_root}" \
 cmake --build "${tsan_dir}" -j"$(nproc)" \
   --target obs_test obs_flight_test exec_test kernel_test \
   compiled_catalog_test target_test \
-  pipeline_stage_test serve_test stream_test
+  pipeline_stage_test serve_test stream_test golden_report_test
 TSAN_OPTIONS="halt_on_error=1" "${tsan_dir}/tests/obs_test"
 TSAN_OPTIONS="halt_on_error=1" "${tsan_dir}/tests/obs_flight_test"
 TSAN_OPTIONS="halt_on_error=1" "${tsan_dir}/tests/exec_test"
@@ -149,3 +152,5 @@ TSAN_OPTIONS="halt_on_error=1" "${tsan_dir}/tests/target_test"
 TSAN_OPTIONS="halt_on_error=1" "${tsan_dir}/tests/pipeline_stage_test"
 TSAN_OPTIONS="halt_on_error=1" "${tsan_dir}/tests/serve_test"
 TSAN_OPTIONS="halt_on_error=1" "${tsan_dir}/tests/stream_test"
+TSAN_OPTIONS="halt_on_error=1" "${tsan_dir}/tests/golden_report_test" \
+  --gtest_filter='GoldenReportTest.AssessBatchMatchesGoldenAtEveryJobCount'

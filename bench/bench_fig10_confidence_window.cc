@@ -37,6 +37,13 @@ int main() {
   const std::vector<workload::SyntheticCustomer> fleet = bench::Unwrap(
       workload::GeneratePopulation(population), "population generation");
 
+  // Each customer's full-data pick, which every window's runs are compared
+  // with.
+  std::vector<StatusOr<core::Recommendation>> originals;
+  for (const workload::SyntheticCustomer& customer : fleet) {
+    originals.push_back(recommend(customer.trace));
+  }
+
   const double windows_days[] = {1.0, 3.0, 7.0, 14.0, 21.0};
   TablePrinter table({"Bootstrap window", "Mean confidence", "P25", "Median",
                       "Share >= 90%"});
@@ -44,12 +51,13 @@ int main() {
   for (double window : windows_days) {
     std::vector<double> scores;
     for (std::size_t i = 0; i < fleet.size(); ++i) {
+      if (!originals[i].ok()) continue;
       core::ConfidenceOptions options;
       options.runs = 15;
       options.window_days = window;
       Rng rng(2000 + i);
-      StatusOr<core::ConfidenceResult> result =
-          core::ScoreConfidence(fleet[i].trace, recommend, options, &rng);
+      StatusOr<core::ConfidenceResult> result = core::ScoreConfidence(
+          fleet[i].trace, *originals[i], recommend, options, &rng);
       if (result.ok()) scores.push_back(result->score);
     }
     double high = 0.0;

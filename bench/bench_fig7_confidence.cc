@@ -67,10 +67,12 @@ int main() {
     options.runs = 40;
     options.window_days = 7.0;
     Rng rng(707);
+    const core::Recommendation original =
+        bench::Unwrap(recommend(trace), "original");
     const core::ConfidenceResult result = bench::Unwrap(
-        core::ScoreConfidence(trace, recommend, options, &rng),
+        core::ScoreConfidence(trace, original, recommend, options, &rng),
         "confidence scoring");
-    table.AddRow({trace.id(), result.original.sku.DisplayName(),
+    table.AddRow({trace.id(), original.sku.DisplayName(),
                   std::to_string(result.runs),
                   std::to_string(result.matching_runs),
                   FormatPercent(result.score, 0)});

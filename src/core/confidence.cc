@@ -2,11 +2,13 @@
 
 #include <algorithm>
 
+#include "obs/metrics.h"
 #include "stats/bootstrap.h"
 
 namespace doppler::core {
 
 StatusOr<ConfidenceResult> ScoreConfidence(const telemetry::PerfTrace& trace,
+                                           const Recommendation& original,
                                            const RecommendFn& recommend,
                                            const ConfidenceOptions& options,
                                            Rng* rng) {
@@ -18,12 +20,25 @@ StatusOr<ConfidenceResult> ScoreConfidence(const telemetry::PerfTrace& trace,
   }
 
   ConfidenceResult result;
-  DOPPLER_ASSIGN_OR_RETURN(result.original, recommend(trace));
+  result.runs = options.runs;
 
   const std::size_t window_samples = std::max<std::size_t>(
       1, static_cast<std::size_t>(options.window_days * 86400.0 /
                                   static_cast<double>(trace.interval_seconds())));
+  if (options.scheme == BootstrapScheme::kWindow) {
+    result.window_days = options.window_days;
+    result.window_covers_trace = window_samples >= trace.num_samples();
+  }
+  if (result.window_covers_trace) {
+    // Every window is the whole trace, and the recommendation is a pure
+    // function of it: each run would reproduce the original.
+    result.matching_runs = options.runs;
+    result.score = 1.0;
+    return result;
+  }
 
+  static obs::Counter* const kReruns =
+      obs::DefaultMetrics().GetCounter("confidence.reruns");
   stats::Bootstrap bootstrap(trace.num_samples(), rng);
   for (int run = 0; run < options.runs; ++run) {
     std::vector<std::size_t> indices;
@@ -36,11 +51,11 @@ StatusOr<ConfidenceResult> ScoreConfidence(const telemetry::PerfTrace& trace,
         break;
     }
     const telemetry::PerfTrace resampled = trace.Select(indices);
+    kReruns->Increment();
     StatusOr<Recommendation> rerun = recommend(resampled);
     // A failing bootstrap run (e.g. a degenerate window) counts as a
     // non-matching run: it is evidence the recommendation is unstable.
-    ++result.runs;
-    if (rerun.ok() && rerun->sku.id == result.original.sku.id) {
+    if (rerun.ok() && rerun->sku.id == original.sku.id) {
       ++result.matching_runs;
     }
   }

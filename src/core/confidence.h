@@ -37,23 +37,27 @@ struct ConfidenceResult {
   double score = 0.0;
   int runs = 0;
   int matching_runs = 0;
-  /// The original (full-data) recommendation the runs are compared to.
-  Recommendation original;
+  /// kWindow sub-window length, in days (0 under kIid).
+  double window_days = 0.0;
+  /// True when that window covers the whole trace: every run is the trace
+  /// itself, so the score is 1 by construction and says nothing about
+  /// stability. Only a longer collection makes the score informative.
+  bool window_covers_trace = false;
 };
 
 /// Derives the confidence score: rerun the full recommendation on `runs`
 /// random subsets of the raw counter data and report the agreement with
-/// the full-data recommendation. Stable utilisation patterns yield scores
+/// `original`, the caller's full-data recommendation of `trace` (what
+/// `recommend(trace)` returns). Stable utilisation patterns yield scores
 /// near 1; volatile ones flag that more data should be collected (the
 /// guardrail surfaced in DMA).
 ///
-/// Object-identity guarantee: the original run invokes `recommend` with
-/// the caller's `trace` object itself; every bootstrap run passes a
-/// freshly materialised resample. Callers may therefore compare addresses
-/// to reuse per-trace memoized state (sorted series) for the original run
-/// only — the pipeline's confidence stage does exactly that. Resamples
-/// must NOT share that state: their row order and multiset differ.
+/// A kWindow window at least as long as the trace makes every run the
+/// trace itself, which reproduces `original`: the score is then 1 with no
+/// rerun and no draw from `rng`. Every other run calls `recommend` once on
+/// its resample and bumps the `confidence.reruns` counter.
 StatusOr<ConfidenceResult> ScoreConfidence(const telemetry::PerfTrace& trace,
+                                           const Recommendation& original,
                                            const RecommendFn& recommend,
                                            const ConfidenceOptions& options,
                                            Rng* rng);

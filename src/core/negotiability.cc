@@ -12,8 +12,7 @@ namespace doppler::core {
 
 StatusOr<NegotiabilityScores> NegotiabilityStrategy::Evaluate(
     const telemetry::PerfTrace& trace,
-    const std::vector<catalog::ResourceDim>& dims,
-    const telemetry::TraceStatsCache* stats) const {
+    const std::vector<catalog::ResourceDim>& dims) const {
   if (trace.num_samples() == 0) {
     return InvalidArgumentError("performance trace is empty");
   }
@@ -25,9 +24,7 @@ StatusOr<NegotiabilityScores> NegotiabilityStrategy::Evaluate(
   result.scores.reserve(dims.size());
   result.negotiable.reserve(dims.size());
   for (catalog::ResourceDim dim : dims) {
-    const double score =
-        trace.Has(dim) ? ScoreSeriesWithStats(trace.Values(dim), stats, dim)
-                       : 0.0;
+    const double score = trace.Has(dim) ? ScoreSeries(trace.Values(dim)) : 0.0;
     result.scores.push_back(score);
     result.negotiable.push_back(score > NegotiableCutoff());
   }
@@ -37,15 +34,9 @@ StatusOr<NegotiabilityScores> NegotiabilityStrategy::Evaluate(
 double ThresholdingStrategy::SpikeDurationFraction(
     const std::vector<double>& values) {
   if (values.empty()) return 1.0;
-  return SpikeDurationFraction(values, stats::Max(values),
-                               stats::StdDev(values));
-}
-
-double ThresholdingStrategy::SpikeDurationFraction(
-    const std::vector<double>& values, double max, double sd) {
-  if (values.empty()) return 1.0;
+  const double sd = stats::StdDev(values);
   if (sd <= 0.0) return 1.0;  // A constant counter "peaks" the whole time.
-  const double window_low = max - sd;
+  const double window_low = stats::Max(values) - sd;
   std::size_t inside = 0;
   for (double v : values) {
     if (v >= window_low) ++inside;
@@ -56,17 +47,6 @@ double ThresholdingStrategy::SpikeDurationFraction(
 double ThresholdingStrategy::ScoreSeries(
     const std::vector<double>& values) const {
   return 1.0 - SpikeDurationFraction(values);
-}
-
-double ThresholdingStrategy::ScoreSeriesWithStats(
-    const std::vector<double>& values,
-    const telemetry::TraceStatsCache* stats, catalog::ResourceDim dim) const {
-  if (stats == nullptr || values.empty()) return ScoreSeries(values);
-  // Same Max/StdDev the uncached path computes, read from the memo; the
-  // fraction itself is recomputed over the series either way, so the score
-  // is bit-identical.
-  return 1.0 -
-         SpikeDurationFraction(values, stats->Max(dim), stats->StdDev(dim));
 }
 
 double MinMaxAucStrategy::ScoreSeries(const std::vector<double>& values) const {

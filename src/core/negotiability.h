@@ -7,7 +7,6 @@
 
 #include "catalog/resource.h"
 #include "telemetry/perf_trace.h"
-#include "telemetry/trace_stats.h"
 #include "util/statusor.h"
 
 namespace doppler::core {
@@ -34,13 +33,10 @@ class NegotiabilityStrategy {
 
   /// Summarises `trace` over `dims`. Dimensions missing from the trace are
   /// scored 0 (non-negotiable: nothing is known about them, so nothing is
-  /// granted). Fails on an empty trace. A non-null `stats` cache (built
-  /// over the SAME trace) lets order-statistic-based strategies reuse
-  /// memoized per-dimension state; scores are bit-identical either way.
+  /// granted). Fails on an empty trace.
   StatusOr<NegotiabilityScores> Evaluate(
       const telemetry::PerfTrace& trace,
-      const std::vector<catalog::ResourceDim>& dims,
-      const telemetry::TraceStatsCache* stats = nullptr) const;
+      const std::vector<catalog::ResourceDim>& dims) const;
 
   /// Display name matching the paper's Table 4 rows.
   virtual const char* name() const = 0;
@@ -57,19 +53,6 @@ class NegotiabilityStrategy {
  protected:
   /// Continuous negotiability of one series, in [0, 1].
   virtual double ScoreSeries(const std::vector<double>& values) const = 0;
-
-  /// Cache-aware scoring hook: strategies whose summary derives from plain
-  /// order statistics (thresholding) override this to read the memoized
-  /// state; the default ignores the cache. Must return exactly
-  /// ScoreSeries(values).
-  virtual double ScoreSeriesWithStats(
-      const std::vector<double>& values,
-      const telemetry::TraceStatsCache* stats,
-      catalog::ResourceDim dim) const {
-    (void)stats;
-    (void)dim;
-    return ScoreSeries(values);
-  }
 
   /// Score above which a dimension counts as negotiable.
   virtual double NegotiableCutoff() const { return 0.5; }
@@ -90,16 +73,8 @@ class ThresholdingStrategy : public NegotiabilityStrategy {
   /// The duration fraction itself (time within one sigma of the max).
   static double SpikeDurationFraction(const std::vector<double>& values);
 
-  /// Same fraction with the max / standard deviation precomputed (e.g. read
-  /// from a TraceStatsCache). Bit-identical to the self-computing overload.
-  static double SpikeDurationFraction(const std::vector<double>& values,
-                                      double max, double sd);
-
  protected:
   double ScoreSeries(const std::vector<double>& values) const override;
-  double ScoreSeriesWithStats(const std::vector<double>& values,
-                              const telemetry::TraceStatsCache* stats,
-                              catalog::ResourceDim dim) const override;
   double NegotiableCutoff() const override { return 1.0 - rho_; }
 
  private:

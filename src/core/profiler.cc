@@ -26,14 +26,13 @@ CustomerProfiler::CustomerProfiler(
     : strategy_(std::move(strategy)), dims_(std::move(dims)) {}
 
 StatusOr<CustomerProfile> CustomerProfiler::Profile(
-    const telemetry::PerfTrace& trace,
-    const telemetry::TraceStatsCache* stats) const {
+    const telemetry::PerfTrace& trace) const {
   if (strategy_ == nullptr) {
     return FailedPreconditionError("profiler has no strategy");
   }
   CustomerProfile profile;
   DOPPLER_ASSIGN_OR_RETURN(profile.summary,
-                           strategy_->Evaluate(trace, dims_, stats));
+                           strategy_->Evaluate(trace, dims_));
   profile.group_id = GroupIdFromBits(profile.summary.negotiable);
   return profile;
 }

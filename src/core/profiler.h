@@ -45,12 +45,8 @@ class CustomerProfiler {
   CustomerProfiler(std::shared_ptr<NegotiabilityStrategy> strategy,
                    std::vector<catalog::ResourceDim> dims);
 
-  /// Profiles one performance history. A non-null `stats` cache (built over
-  /// the same trace) lets the strategy reuse memoized per-dimension order
-  /// statistics; the profile is bit-identical either way.
-  StatusOr<CustomerProfile> Profile(
-      const telemetry::PerfTrace& trace,
-      const telemetry::TraceStatsCache* stats = nullptr) const;
+  /// Profiles one performance history.
+  StatusOr<CustomerProfile> Profile(const telemetry::PerfTrace& trace) const;
 
   const std::vector<catalog::ResourceDim>& dims() const { return dims_; }
   const NegotiabilityStrategy& strategy() const { return *strategy_; }

@@ -61,8 +61,7 @@ ElasticRecommender::ElasticRecommender(const catalog::CompiledCatalog* compiled,
                          Options()) {}
 
 StatusOr<Recommendation> ElasticRecommender::RecommendDb(
-    const telemetry::PerfTrace& trace,
-    const telemetry::TraceStatsCache* stats) const {
+    const telemetry::PerfTrace& trace) const {
   const catalog::CompiledView candidates =
       compiled_->ForDeployment(Deployment::kSqlDb).view();
   if (candidates.empty()) {
@@ -72,12 +71,12 @@ StatusOr<Recommendation> ElasticRecommender::RecommendDb(
       PricePerformanceCurve curve,
       PricePerformanceCurve::Build(trace, candidates, compiled_->pricing(),
                                    *estimator_, executor_));
-  return SelectFromCurve(std::move(curve), trace, stats);
+  return SelectFromCurve(std::move(curve), trace);
 }
 
 StatusOr<Recommendation> ElasticRecommender::RecommendMi(
-    const telemetry::PerfTrace& trace, const catalog::FileLayout& layout,
-    const telemetry::TraceStatsCache* stats) const {
+    const telemetry::PerfTrace& trace,
+    const catalog::FileLayout& layout) const {
   DOPPLER_ASSIGN_OR_RETURN(
       MiCompiledFilterResult filtered,
       FilterMiCandidates(*compiled_, layout, trace));
@@ -87,7 +86,7 @@ StatusOr<Recommendation> ElasticRecommender::RecommendMi(
                                    compiled_->pricing(), *estimator_,
                                    executor_, &compiled_->target()));
   DOPPLER_ASSIGN_OR_RETURN(Recommendation recommendation,
-                           SelectFromCurve(std::move(curve), trace, stats));
+                           SelectFromCurve(std::move(curve), trace));
   if (filtered.restricted_to_bc) {
     recommendation.rationale +=
         " (GP premium-disk layouts could not reach 95% IOPS/throughput "
@@ -98,10 +97,9 @@ StatusOr<Recommendation> ElasticRecommender::RecommendMi(
 
 StatusOr<Recommendation> ElasticRecommender::Recommend(
     const telemetry::PerfTrace& trace, Deployment deployment,
-    const catalog::FileLayout& layout,
-    const telemetry::TraceStatsCache* stats) const {
-  if (deployment == Deployment::kSqlDb) return RecommendDb(trace, stats);
-  return RecommendMi(trace, layout, stats);
+    const catalog::FileLayout& layout) const {
+  if (deployment == Deployment::kSqlDb) return RecommendDb(trace);
+  return RecommendMi(trace, layout);
 }
 
 namespace {
@@ -131,8 +129,7 @@ void CountCurveShape(CurveShape shape) {
 }  // namespace
 
 StatusOr<Recommendation> ElasticRecommender::SelectFromCurve(
-    PricePerformanceCurve curve, const telemetry::PerfTrace& trace,
-    const telemetry::TraceStatsCache* stats) const {
+    PricePerformanceCurve curve, const telemetry::PerfTrace& trace) const {
   DOPPLER_TRACE_SPAN("recommend.select");
   Recommendation recommendation;
   recommendation.curve_shape = curve.Classify(options_.classify_epsilon);
@@ -161,7 +158,7 @@ StatusOr<Recommendation> ElasticRecommender::SelectFromCurve(
   // Profile the customer and pull the learned group target (Eqs. 2-6).
   StatusOr<CustomerProfile> profiled = [&] {
     DOPPLER_TRACE_SPAN("recommend.profile");
-    return profiler_->Profile(trace, stats);
+    return profiler_->Profile(trace);
   }();
   DOPPLER_ASSIGN_OR_RETURN(CustomerProfile profile, std::move(profiled));
   recommendation.group_id = profile.group_id;
@@ -200,8 +197,7 @@ BaselineRecommender::BaselineRecommender(
     : compiled_(compiled), quantile_(quantile) {}
 
 StatusOr<ResourceVector> BaselineRecommender::ScalarRequirements(
-    const telemetry::PerfTrace& trace,
-    const telemetry::TraceStatsCache* cache) const {
+    const telemetry::PerfTrace& trace) const {
   if (trace.num_samples() == 0) {
     return InvalidArgumentError("performance trace is empty");
   }
@@ -210,20 +206,14 @@ StatusOr<ResourceVector> BaselineRecommender::ScalarRequirements(
     // Inverted dimensions need the LOW quantile: the tightest latency the
     // workload relies on.
     const double q = catalog::IsInvertedDim(dim) ? 1.0 - quantile_ : quantile_;
-    // The cache holds the sorted series; stats::Quantile sorts a copy and
-    // interpolates identically, so both paths agree bit for bit.
-    needs.Set(dim, cache != nullptr
-                       ? cache->Quantile(dim, q)
-                       : stats::Quantile(trace.Values(dim), q));
+    needs.Set(dim, stats::Quantile(trace.Values(dim), q));
   }
   return needs;
 }
 
 StatusOr<Recommendation> BaselineRecommender::Recommend(
-    const telemetry::PerfTrace& trace, Deployment deployment,
-    const telemetry::TraceStatsCache* cache) const {
-  DOPPLER_ASSIGN_OR_RETURN(ResourceVector needs,
-                           ScalarRequirements(trace, cache));
+    const telemetry::PerfTrace& trace, Deployment deployment) const {
+  DOPPLER_ASSIGN_OR_RETURN(ResourceVector needs, ScalarRequirements(trace));
   const catalog::CompiledView candidates =
       compiled_->ForDeployment(deployment).view();
   if (candidates.empty()) {

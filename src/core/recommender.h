@@ -14,7 +14,6 @@
 #include "core/profiler.h"
 #include "core/throttling.h"
 #include "telemetry/perf_trace.h"
-#include "telemetry/trace_stats.h"
 #include "util/statusor.h"
 
 namespace doppler::exec {
@@ -82,28 +81,23 @@ class ElasticRecommender {
   /// the recommender. Results are bit-identical with or without it.
   void SetExecutor(exec::ThreadPool* executor) { executor_ = executor; }
 
-  /// Recommendation for a workload migrating to Azure SQL DB. A non-null
-  /// `stats` cache (built over the same trace) is reused for profiling.
-  StatusOr<Recommendation> RecommendDb(
-      const telemetry::PerfTrace& trace,
-      const telemetry::TraceStatsCache* stats = nullptr) const;
+  /// Recommendation for a workload migrating to Azure SQL DB.
+  StatusOr<Recommendation> RecommendDb(const telemetry::PerfTrace& trace) const;
 
   /// Recommendation for a workload migrating to Azure SQL MI; the file
   /// layout drives premium-disk Steps 1-2.
   StatusOr<Recommendation> RecommendMi(
-      const telemetry::PerfTrace& trace, const catalog::FileLayout& layout,
-      const telemetry::TraceStatsCache* stats = nullptr) const;
+      const telemetry::PerfTrace& trace,
+      const catalog::FileLayout& layout) const;
 
   /// Deployment-dispatching convenience used by the DMA pipeline.
-  StatusOr<Recommendation> Recommend(
-      const telemetry::PerfTrace& trace, catalog::Deployment deployment,
-      const catalog::FileLayout& layout,
-      const telemetry::TraceStatsCache* stats = nullptr) const;
+  StatusOr<Recommendation> Recommend(const telemetry::PerfTrace& trace,
+                                     catalog::Deployment deployment,
+                                     const catalog::FileLayout& layout) const;
 
  private:
   StatusOr<Recommendation> SelectFromCurve(
-      PricePerformanceCurve curve, const telemetry::PerfTrace& trace,
-      const telemetry::TraceStatsCache* stats) const;
+      PricePerformanceCurve curve, const telemetry::PerfTrace& trace) const;
 
   const catalog::CompiledCatalog* compiled_;
   const ThrottlingEstimator* estimator_;
@@ -124,16 +118,13 @@ class BaselineRecommender {
   explicit BaselineRecommender(const catalog::CompiledCatalog* compiled,
                                double quantile = 0.95);
 
-  StatusOr<Recommendation> Recommend(
-      const telemetry::PerfTrace& trace, catalog::Deployment deployment,
-      const telemetry::TraceStatsCache* stats = nullptr) const;
+  StatusOr<Recommendation> Recommend(const telemetry::PerfTrace& trace,
+                                     catalog::Deployment deployment) const;
 
-  /// The scalar requirement the baseline derives per dimension. A non-null
-  /// `stats` cache reads the quantiles from the memoized sorted series
-  /// (bit-identical to sorting in place here).
+  /// The scalar requirement the baseline derives per dimension: one
+  /// stats::Quantile per collected counter.
   StatusOr<catalog::ResourceVector> ScalarRequirements(
-      const telemetry::PerfTrace& trace,
-      const telemetry::TraceStatsCache* stats = nullptr) const;
+      const telemetry::PerfTrace& trace) const;
 
  private:
   const catalog::CompiledCatalog* compiled_;

@@ -383,9 +383,19 @@ std::string RenderAssessmentText(const AssessmentOutcome& outcome) {
   out << "\n"
       << RenderNegotiabilityReport(outcome.instance_trace, outcome.target);
   if (outcome.confidence.has_value()) {
-    out << "\nConfidence: " << FormatPercent(outcome.confidence->score, 0)
-        << " (" << outcome.confidence->matching_runs << "/"
-        << outcome.confidence->runs << " bootstrap runs agree)\n";
+    const core::ConfidenceResult& confidence = *outcome.confidence;
+    out << "\nConfidence: " << FormatPercent(confidence.score, 0) << " ("
+        << confidence.matching_runs << "/" << confidence.runs
+        << " bootstrap runs agree)\n";
+    if (confidence.window_covers_trace) {
+      const std::string window = FormatDouble(confidence.window_days, 0);
+      out << "  Note: the " << window
+          << "-day bootstrap window covers the whole "
+          << FormatDouble(outcome.instance_trace.DurationDays(), 1)
+          << "-day trace, so the score carries no information; collect "
+             "more than "
+          << window << " days of telemetry for a meaningful score.\n";
+    }
   }
   if (outcome.baseline.ok()) {
     out << "Legacy baseline pick: " << outcome.baseline->sku.DisplayName()

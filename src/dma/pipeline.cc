@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -44,15 +45,6 @@ class StageScope {
   std::size_t slot_;
   std::chrono::steady_clock::time_point start_;
 };
-
-// Emplaces the memoized order-statistics cache over the frozen instance
-// trace on first use (recommend and baseline share it, in either order).
-telemetry::TraceStatsCache* EnsureInstanceStats(RequestContext& ctx) {
-  if (!ctx.instance_stats.has_value()) {
-    ctx.instance_stats.emplace(ctx.outcome.instance_trace);
-  }
-  return &*ctx.instance_stats;
-}
 
 }  // namespace
 
@@ -215,16 +207,12 @@ Status SkuRecommendationPipeline::StageRecommend(RequestContext& ctx) const {
   const core::ElasticRecommender& recommender =
       request.target == Deployment::kSqlDb ? *db_recommender_
                                            : *mi_recommender_;
-  // One memoized order-statistics view of the (now frozen) instance trace,
-  // shared with the baseline so each dimension is sorted once per
-  // assessment instead of once per consumer.
-  telemetry::TraceStatsCache* instance_stats = EnsureInstanceStats(ctx);
   {
     StageScope stage("pipeline.recommend", &ctx.timings);
     DOPPLER_ASSIGN_OR_RETURN(
         outcome.elastic,
         recommender.Recommend(outcome.instance_trace, request.target,
-                              ctx.layout, instance_stats));
+                              ctx.layout));
   }
   DOPPLER_LOG(kDebug) << "elastic pick " << outcome.elastic.sku.id << " ("
                       << core::CurveShapeName(outcome.elastic.curve_shape)
@@ -233,11 +221,9 @@ Status SkuRecommendationPipeline::StageRecommend(RequestContext& ctx) const {
 }
 
 Status SkuRecommendationPipeline::StageBaseline(RequestContext& ctx) const {
-  const AssessmentRequest& request = *ctx.request;
-  telemetry::TraceStatsCache* instance_stats = EnsureInstanceStats(ctx);
   StageScope stage("pipeline.baseline", &ctx.timings);
-  ctx.outcome.baseline = baseline_->Recommend(ctx.outcome.instance_trace,
-                                              request.target, instance_stats);
+  ctx.outcome.baseline =
+      baseline_->Recommend(ctx.outcome.instance_trace, ctx.request->target);
   return OkStatus();
 }
 
@@ -251,27 +237,21 @@ Status SkuRecommendationPipeline::StageConfidence(RequestContext& ctx) const {
   StageScope stage("pipeline.confidence", &ctx.timings);
   Rng rng(config_.confidence_seed);
   const catalog::FileLayout& layout = ctx.layout;
-  // The scorer's first rerun evaluates the original instance trace: reuse
-  // the assessment's memoized cache (the sorted series profiling reads)
-  // instead of re-sorting every dimension again. Each bootstrap resample is
-  // a distinct trace and gets its own view.
-  telemetry::TraceStatsCache* instance_stats = EnsureInstanceStats(ctx);
-  const telemetry::PerfTrace* instance_trace = &outcome.instance_trace;
-  core::RecommendFn rerun =
-      [&recommender, &request, &layout, instance_stats,
-       instance_trace](const telemetry::PerfTrace& trace) {
-        if (&trace == instance_trace) {
-          return recommender.Recommend(trace, request.target, layout,
-                                       instance_stats);
-        }
-        telemetry::TraceStatsCache resample_stats(trace);
-        return recommender.Recommend(trace, request.target, layout,
-                                     &resample_stats);
-      };
+  core::RecommendFn recommend = [&recommender, &request,
+                                 &layout](const telemetry::PerfTrace& trace) {
+    return recommender.Recommend(trace, request.target, layout);
+  };
+  // The runs are compared with the recommend stage's pick; when that stage
+  // did not run on this context, the pick is made here, once.
+  std::optional<core::Recommendation> own_pick;
+  if (!(ctx.completed_stages & kStageRecommend)) {
+    DOPPLER_ASSIGN_OR_RETURN(own_pick, recommend(outcome.instance_trace));
+  }
   DOPPLER_ASSIGN_OR_RETURN(
       core::ConfidenceResult confidence,
-      core::ScoreConfidence(outcome.instance_trace, rerun, config_.confidence,
-                            &rng));
+      core::ScoreConfidence(outcome.instance_trace,
+                            own_pick ? *own_pick : outcome.elastic, recommend,
+                            config_.confidence, &rng));
   outcome.confidence = std::move(confidence);
   return OkStatus();
 }

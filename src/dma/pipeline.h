@@ -139,7 +139,9 @@ class SkuRecommendationPipeline {
   Status StageBaseline(RequestContext& ctx) const;
 
   /// Bootstrap confidence score (when the request asks for it). Requires
-  /// StageRecommend's inputs (preprocess + layout).
+  /// StageRecommend's inputs (preprocess + layout). The runs are compared
+  /// with the outcome's elastic pick when StageRecommend completed on this
+  /// context; otherwise the stage recommends once itself.
   Status StageConfidence(RequestContext& ctx) const;
 
   /// Right-sizing against the request's current SKU (when named). A

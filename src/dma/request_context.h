@@ -14,7 +14,6 @@
 #include "quality/quality_gate.h"
 #include "quality/quality_report.h"
 #include "telemetry/perf_trace.h"
-#include "telemetry/trace_stats.h"
 #include "util/deadline.h"
 #include "util/statusor.h"
 
@@ -38,7 +37,8 @@ struct AssessmentRequest {
   /// Cloud customers only: the SKU they currently run, enabling the
   /// right-sizing assessment.
   std::string current_sku_id;
-  /// Run the bootstrap confidence score (adds runs x curve builds).
+  /// Run the bootstrap confidence score (adds one curve build per run when
+  /// the trace is longer than the bootstrap window, none otherwise).
   bool compute_confidence = false;
   /// How the telemetry quality gate reacts to defects in the raw traces:
   /// kRepair (default) fixes and records, kStrict aborts the assessment on
@@ -140,11 +140,8 @@ class TimingSink {
 /// functions. Ownership rules:
 ///  - the context BORROWS the request, which must outlive it;
 ///  - the context OWNS everything produced on the request's behalf: the
-///    outcome under assembly, the timing sink, the resolved file layout,
-///    and the memoized order-statistics cache over the frozen instance
-///    trace (lazily emplaced — TraceStatsCache is non-movable — and shared
-///    by the recommend and baseline stages so each dimension is sorted
-///    once per assessment).
+///    outcome under assembly, the timing sink and the resolved file
+///    layout.
 /// A context is single-request, non-copyable scratch state; stages may be
 /// applied to it exactly once, in pipeline order.
 struct RequestContext {
@@ -162,9 +159,6 @@ struct RequestContext {
   /// Resolved by the layout stage: the request's layout, or the default MI
   /// layout sized from the observed storage counter.
   catalog::FileLayout layout;
-  /// Memoized order statistics over outcome.instance_trace; emplaced once
-  /// the trace is frozen (after preprocessing).
-  std::optional<telemetry::TraceStatsCache> instance_stats;
   /// Findings of the in-pipeline quality gate, merged into outcome.quality
   /// by the preprocess stage.
   quality::TraceQualityReport pipeline_gate;

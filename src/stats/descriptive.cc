@@ -42,19 +42,20 @@ double Max(const std::vector<double>& values) {
 
 double Quantile(const std::vector<double>& values, double q) {
   if (values.empty()) return 0.0;
-  std::vector<double> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-  return QuantileFromSorted(sorted, q);
-}
-
-double QuantileFromSorted(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
-  const double position = q * static_cast<double>(sorted.size() - 1);
+  const double position = q * static_cast<double>(values.size() - 1);
   const std::size_t lower = static_cast<std::size_t>(position);
-  const std::size_t upper = std::min(lower + 1, sorted.size() - 1);
   const double fraction = position - static_cast<double>(lower);
-  return sorted[lower] + fraction * (sorted[upper] - sorted[lower]);
+  // Order statistic `lower` lands in place; every element after it is no
+  // smaller, so the next order statistic is their minimum.
+  std::vector<double> order = values;
+  const auto nth = order.begin() + static_cast<std::ptrdiff_t>(lower);
+  std::nth_element(order.begin(), nth, order.end());
+  const double low = *nth;
+  const double high = nth + 1 == order.end()
+                          ? low
+                          : *std::min_element(nth + 1, order.end());
+  return low + fraction * (high - low);
 }
 
 double Median(const std::vector<double>& values) {

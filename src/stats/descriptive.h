@@ -23,13 +23,11 @@ double Max(const std::vector<double>& values);
 /// Quantile with linear interpolation between order statistics (the "R-7"
 /// definition used by NumPy's default). `q` is clamped to [0, 1]; returns 0
 /// for an empty input. The baseline recommender collapses each perf counter
-/// series with this at q = 0.95 (or q = 1.0 for "max").
+/// series with this at q = 0.95 (or q = 1.0 for "max"). Selects the two
+/// order statistics it interpolates between from one copy of the input
+/// (linear time) instead of sorting it; the value equals interpolating over
+/// the sorted series.
 double Quantile(const std::vector<double>& values, double q);
-
-/// Same R-7 quantile over an already ascending-sorted input, skipping the
-/// copy + sort. Bit-identical to Quantile on the sorted data; the
-/// TraceStatsCache amortises one sort across many quantile reads with this.
-double QuantileFromSorted(const std::vector<double>& sorted, double q);
 
 /// Median (Quantile at 0.5).
 double Median(const std::vector<double>& values);

@@ -80,8 +80,8 @@ class StreamingTrace {
   telemetry::PerfTrace Materialize() const;
 
   /// Mean of `dim` over the live rows, computed by stats::Mean over the
-  /// values in seq order — bit-identical to TraceStatsCache::Mean over
-  /// Materialize(). 0 when the window is empty or lacks `dim`.
+  /// values in seq order — bit-identical to stats::Mean over the same
+  /// dimension of Materialize(). 0 when the window is empty or lacks `dim`.
   double Mean(catalog::ResourceDim dim) const;
 
  private:

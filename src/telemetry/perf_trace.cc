@@ -16,7 +16,6 @@ Status PerfTrace::SetSeries(catalog::ResourceDim dim,
   if (first) num_samples_ = values.size();
   series_[Index(dim)] = std::move(values);
   present_[Index(dim)] = true;
-  ++generation_;
   return OkStatus();
 }
 

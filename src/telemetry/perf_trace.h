@@ -54,17 +54,9 @@ class PerfTrace {
 
   std::int64_t interval_seconds() const { return interval_seconds_; }
 
-  /// Mutation counter: bumped by every successful SetSeries. A cache that
-  /// BORROWS a trace (TraceStatsCache) records the generation it was built
-  /// against and rebuilds instead of serving stale sorted state when it
-  /// has moved on — the mutation hazard guard (DESIGN.md §7). Copies
-  /// carry the source's generation; a copy and its source then diverge
-  /// independently.
-  std::uint64_t generation() const { return generation_; }
-
   /// Installs the series for one dimension. The first installed series
   /// fixes the trace length; later series must match it. Replacing an
-  /// already-present series keeps the length and bumps generation().
+  /// already-present series keeps the length.
   Status SetSeries(catalog::ResourceDim dim, std::vector<double> values);
 
   /// True when the dimension was collected.
@@ -109,7 +101,6 @@ class PerfTrace {
 
   std::string id_;
   std::int64_t interval_seconds_;
-  std::uint64_t generation_ = 0;
   std::size_t num_samples_ = 0;
   std::array<std::vector<double>, catalog::kNumResourceDims> series_;
   std::array<bool, catalog::kNumResourceDims> present_{};

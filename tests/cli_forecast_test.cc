@@ -18,6 +18,7 @@
 #include "dma/cli.h"
 #include "dma/shipped_models.h"
 #include "dma/static_inputs.h"
+#include "obs/metrics.h"
 #include "telemetry/trace_io.h"
 #include "util/csv.h"
 #include "util/random.h"
@@ -487,6 +488,42 @@ TEST_F(CliFlowTest, TracedAssessBatchNamesEveryPhase) {
   EXPECT_EQ(SpanCount(spans, "pipeline.assess"), 3u);
   EXPECT_EQ(SpanCount(spans, "exec.fleet_assess"), 1u);
   EXPECT_EQ(SpanCount(spans, "dma.write"), 1u);
+}
+
+// A 2-day trace fits inside the default 7-day bootstrap window: every run
+// would be the trace itself, so the report says the score is uninformative
+// and no rerun is paid for. A 14-day trace reruns the recommendation once
+// per run (confidence.reruns counts them) and carries no such note.
+TEST_F(CliFlowTest, ConfidenceNotesAWindowThatCoversTheTrace) {
+  obs::Counter* const reruns =
+      obs::DefaultMetrics().GetCounter("confidence.reruns");
+  for (const int days : {2, 14}) {
+    SCOPED_TRACE(std::to_string(days) + " days");
+    Rng rng(60 + days);
+    workload::WorkloadSpec spec;
+    spec.name = "confidence";
+    spec.dims[ResourceDim::kCpu] =
+        workload::DimensionSpec::DailyPeriodic(1.5, 0.8);
+    spec.dims[ResourceDim::kIops] =
+        workload::DimensionSpec::DailyPeriodic(400.0, 250.0);
+    StatusOr<telemetry::PerfTrace> trace =
+        workload::GenerateTrace(spec, days, &rng);
+    ASSERT_TRUE(trace.ok());
+    const std::string path = TempPath("cli_confidence.csv");
+    ASSERT_TRUE(telemetry::WriteTraceFile(*trace, path).ok());
+    const std::uint64_t before = reruns->Value();
+    std::ostringstream out;
+    ASSERT_EQ(dma::CliMain({"assess", "--trace", path, "--confidence"}, out),
+              0)
+        << out.str();
+    EXPECT_NE(out.str().find("30/30 bootstrap runs agree"), std::string::npos)
+        << out.str();
+    const bool noted =
+        out.str().find("Note: the 7-day bootstrap window covers the whole "
+                       "2.0-day trace") != std::string::npos;
+    EXPECT_EQ(noted, days == 2) << out.str();
+    EXPECT_EQ(reruns->Value() - before, days == 2 ? 0u : 30u);
+  }
 }
 
 TEST_F(CliFlowTest, AssessRequiresTrace) {

@@ -1,6 +1,8 @@
 // Tests for the elastic and baseline recommenders, the bootstrap
 // confidence score, and right-sizing.
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "catalog/catalog.h"
@@ -9,6 +11,7 @@
 #include "core/recommender.h"
 #include "core/rightsizing.h"
 #include "dma/preprocess.h"
+#include "stats/bootstrap.h"
 #include "workload/generator.h"
 #include "workload/population.h"
 
@@ -248,12 +251,13 @@ TEST_F(RecommenderFixture, StableWorkloadHasHighConfidence) {
   options.runs = 12;
   options.window_days = 2.0;
   Rng rng(9);
+  const Recommendation original = *recommend(trace);
+  EXPECT_EQ(original.sku.id, "DB_GP_Gen5_2");
   StatusOr<ConfidenceResult> result =
-      ScoreConfidence(trace, recommend, options, &rng);
+      ScoreConfidence(trace, original, recommend, options, &rng);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->runs, 12);
   EXPECT_GT(result->score, 0.9);
-  EXPECT_EQ(result->original.sku.id, "DB_GP_Gen5_2");
 }
 
 TEST_F(RecommenderFixture, VolatileWorkloadLowerConfidenceOnShortWindows) {
@@ -281,10 +285,11 @@ TEST_F(RecommenderFixture, VolatileWorkloadLowerConfidenceOnShortWindows) {
   long_window.window_days = 8.0;
   Rng rng_a(11);
   Rng rng_b(11);
+  const Recommendation original = *recommend(*trace);
   StatusOr<ConfidenceResult> low =
-      ScoreConfidence(*trace, recommend, short_window, &rng_a);
+      ScoreConfidence(*trace, original, recommend, short_window, &rng_a);
   StatusOr<ConfidenceResult> high =
-      ScoreConfidence(*trace, recommend, long_window, &rng_b);
+      ScoreConfidence(*trace, original, recommend, long_window, &rng_b);
   ASSERT_TRUE(low.ok());
   ASSERT_TRUE(high.ok());
   EXPECT_LT(low->score, high->score);
@@ -295,15 +300,18 @@ TEST_F(RecommenderFixture, ConfidenceValidatesInputs) {
   RecommendFn recommend = [&](const telemetry::PerfTrace& t) {
     return recommender_->RecommendDb(t);
   };
+  const Recommendation original = *recommend(trace);
   Rng rng(13);
   ConfidenceOptions options;
-  EXPECT_FALSE(ScoreConfidence(trace, nullptr, options, &rng).ok());
-  EXPECT_FALSE(ScoreConfidence(trace, recommend, options, nullptr).ok());
-  options.runs = 0;
-  EXPECT_FALSE(ScoreConfidence(trace, recommend, options, &rng).ok());
-  options.runs = 4;
+  EXPECT_FALSE(ScoreConfidence(trace, original, nullptr, options, &rng).ok());
   EXPECT_FALSE(
-      ScoreConfidence(telemetry::PerfTrace(), recommend, options, &rng).ok());
+      ScoreConfidence(trace, original, recommend, options, nullptr).ok());
+  options.runs = 0;
+  EXPECT_FALSE(ScoreConfidence(trace, original, recommend, options, &rng).ok());
+  options.runs = 4;
+  EXPECT_FALSE(ScoreConfidence(telemetry::PerfTrace(), original, recommend,
+                               options, &rng)
+                   .ok());
 }
 
 TEST_F(RecommenderFixture, IidSchemeAlsoWorks) {
@@ -316,9 +324,113 @@ TEST_F(RecommenderFixture, IidSchemeAlsoWorks) {
   options.scheme = BootstrapScheme::kIid;
   Rng rng(15);
   StatusOr<ConfidenceResult> result =
-      ScoreConfidence(trace, recommend, options, &rng);
+      ScoreConfidence(trace, *recommend(trace), recommend, options, &rng);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->score, 0.9);
+}
+
+// The confidence procedure with no shortcut: recommend on the whole trace,
+// then draw every run's resample and rerun the recommendation on it. The
+// oracle ScoreConfidence must reproduce.
+StatusOr<ConfidenceResult> RerunEveryRun(const telemetry::PerfTrace& trace,
+                                         const RecommendFn& recommend,
+                                         const ConfidenceOptions& options,
+                                         Rng* rng) {
+  DOPPLER_ASSIGN_OR_RETURN(const Recommendation original, recommend(trace));
+  ConfidenceResult result;
+  const std::size_t window_samples = std::max<std::size_t>(
+      1, static_cast<std::size_t>(options.window_days * 86400.0 /
+                                  static_cast<double>(trace.interval_seconds())));
+  stats::Bootstrap bootstrap(trace.num_samples(), rng);
+  for (int run = 0; run < options.runs; ++run) {
+    const std::vector<std::size_t> indices =
+        options.scheme == BootstrapScheme::kWindow
+            ? bootstrap.SampleWindow(window_samples)
+            : bootstrap.SampleWithReplacement(trace.num_samples());
+    StatusOr<Recommendation> rerun = recommend(trace.Select(indices));
+    ++result.runs;
+    if (rerun.ok() && rerun->sku.id == original.sku.id) {
+      ++result.matching_runs;
+    }
+  }
+  result.score = static_cast<double>(result.matching_runs) /
+                 static_cast<double>(result.runs);
+  return result;
+}
+
+// Scores `trace` both ways from the same seed: ScoreConfidence through a
+// call-counting recommend, and the oracle. Returns the counted calls; the
+// two results and the generators' next draws must agree.
+int ExpectConfidenceMatchesOracle(const ElasticRecommender& recommender,
+                                  const telemetry::PerfTrace& trace,
+                                  const ConfidenceOptions& options) {
+  RecommendFn recommend = [&recommender](const telemetry::PerfTrace& t) {
+    return recommender.RecommendDb(t);
+  };
+  int calls = 0;
+  RecommendFn counting = [&](const telemetry::PerfTrace& t) {
+    ++calls;
+    return recommend(t);
+  };
+  Rng rng(41);
+  Rng oracle_rng(41);
+  StatusOr<Recommendation> original = recommend(trace);
+  EXPECT_TRUE(original.ok());
+  StatusOr<ConfidenceResult> got =
+      ScoreConfidence(trace, *original, counting, options, &rng);
+  StatusOr<ConfidenceResult> want =
+      RerunEveryRun(trace, recommend, options, &oracle_rng);
+  EXPECT_TRUE(got.ok());
+  EXPECT_TRUE(want.ok());
+  if (!got.ok() || !want.ok()) return calls;
+  EXPECT_EQ(got->runs, want->runs);
+  EXPECT_EQ(got->matching_runs, want->matching_runs);
+  EXPECT_EQ(got->score, want->score);
+  EXPECT_EQ(rng.NextUint64(), oracle_rng.NextUint64());
+  return calls;
+}
+
+TEST_F(RecommenderFixture, WindowCoveringTheTraceScoresWithoutRerunning) {
+  // Seven days at the DMA cadence is exactly the default 7-day window.
+  const telemetry::PerfTrace trace = SpikyTrace(42).Window(0, 7 * 144);
+  ConfidenceOptions options;
+  options.runs = 10;
+  EXPECT_EQ(ExpectConfidenceMatchesOracle(*recommender_, trace, options), 0);
+  Rng rng(43);
+  StatusOr<ConfidenceResult> result = ScoreConfidence(
+      trace, *recommender_->RecommendDb(trace),
+      [](const telemetry::PerfTrace&) -> StatusOr<Recommendation> {
+        return InternalError("no rerun expected");
+      },
+      options, &rng);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->window_covers_trace);
+  EXPECT_EQ(result->window_days, 7.0);
+  EXPECT_EQ(result->score, 1.0);
+}
+
+TEST_F(RecommenderFixture, WindowShorterThanTheTraceRerunsEveryRun) {
+  // Ten days: every run draws a 7-day (then 2-day) window and reruns.
+  const telemetry::PerfTrace trace = SpikyTrace(44);
+  ConfidenceOptions options;
+  options.runs = 10;
+  EXPECT_EQ(ExpectConfidenceMatchesOracle(*recommender_, trace, options),
+            options.runs);
+  options.window_days = 2.0;
+  EXPECT_EQ(ExpectConfidenceMatchesOracle(*recommender_, trace, options),
+            options.runs);
+}
+
+TEST_F(RecommenderFixture, IidConfidenceMatchesTheOracle) {
+  ConfidenceOptions options;
+  options.runs = 8;
+  options.scheme = BootstrapScheme::kIid;
+  // iid resamples are drawn even when the trace is shorter than a window.
+  for (const telemetry::PerfTrace& trace :
+       {TinyTrace(45), SpikyTrace(46).Window(0, 2 * 144)}) {
+    EXPECT_EQ(ExpectConfidenceMatchesOracle(*recommender_, trace, options),
+              options.runs);
+  }
 }
 
 // ----------------------------------------------------------- Rightsizing.

@@ -152,7 +152,6 @@ TEST_F(PipelineFixture, ConfidenceComputedWhenRequested) {
   ASSERT_TRUE(outcome->confidence.has_value());
   EXPECT_GT(outcome->confidence->score, 0.0);
   EXPECT_LE(outcome->confidence->score, 1.0);
-  EXPECT_EQ(outcome->confidence->original.sku.id, outcome->elastic.sku.id);
 }
 
 TEST_F(PipelineFixture, RightSizingForCloudCustomer) {

@@ -335,8 +335,8 @@ class FleetDeterminismTest : public ::testing::Test {
       request.database_traces = {FleetTrace(seed)};
       requests_->push_back(std::move(request));
     }
-    // One request exercises the bootstrap-confidence rerun path (its own
-    // per-resample TraceStatsCache) under the fleet fan-out.
+    // One request exercises the bootstrap-confidence stage under the fleet
+    // fan-out.
     (*requests_)[0].compute_confidence = true;
   }
   static void TearDownTestSuite() {

@@ -10,11 +10,11 @@
 //   DOPPLER_UPDATE_GOLDEN=1 ./golden_report_test
 //
 // rewrites examples/golden/*.json (and monitor_drift.jsonl,
-// cli_default.jsonl, cli_batch.txt) and the shipped group-model table
-// src/dma/shipped_models.inc in the source tree; review the diff like any
-// other code change. A new table takes effect only after a rebuild, so
-// after regenerating it, rebuild and run the update once more to render
-// cli_default.jsonl from it.
+// confidence_long.jsonl, cli_default.jsonl, cli_batch.txt) and the shipped
+// group-model table src/dma/shipped_models.inc in the source tree; review
+// the diff like any other code change. A new table takes effect only after a
+// rebuild, so after regenerating it, rebuild and run the update once more to
+// render cli_default.jsonl from it.
 
 #include <algorithm>
 #include <charconv>
@@ -181,6 +181,61 @@ TEST_F(GoldenReportTest, SpikyBatchMi) {
 
 TEST_F(GoldenReportTest, BurstyDwDb) {
   CheckGolden("bursty_dw_db", "bursty_dw", Deployment::kSqlDb);
+}
+
+// Confidence on traces longer than the default 7-day bootstrap window, where
+// every run draws a sub-window and reruns the recommendation on it (the
+// canonical traces are 2 days, so their confidence block is the whole-trace
+// case). Seeded in-test traces of 8, 14 and 30 days, DB and MI, one report
+// per line: a trending workload whose 7-day windows disagree with the whole
+// trace (score below 1) and a spiky one whose curve is not flat.
+TEST_F(GoldenReportTest, LongTraceConfidenceMatchesGolden) {
+  using catalog::ResourceDim;
+  using workload::DimensionSpec;
+  workload::WorkloadSpec trending;
+  trending.name = "trending";
+  trending.dims[ResourceDim::kCpu] = DimensionSpec::Trending(2.0, 10.0);
+  trending.dims[ResourceDim::kMemoryGb] = DimensionSpec::DailyPeriodic(16, 6);
+  trending.dims[ResourceDim::kIops] = DimensionSpec::Trending(900, 2500);
+  trending.dims[ResourceDim::kLogRateMbps] = DimensionSpec::Steady(6.0);
+  trending.dims[ResourceDim::kIoLatencyMs] = DimensionSpec::Steady(6.0);
+  trending.dims[ResourceDim::kStorageGb] = DimensionSpec::Steady(300, 0.01);
+  workload::WorkloadSpec spiky;
+  spiky.name = "spiky";
+  DimensionSpec spiky_cpu = DimensionSpec::Spiky(2.0, 9.0, 1.0, 30.0);
+  spiky_cpu.base_amplitude = 3.0;
+  spiky.dims[ResourceDim::kCpu] = spiky_cpu;
+  spiky.dims[ResourceDim::kMemoryGb] = DimensionSpec::DailyPeriodic(20, 12);
+  spiky.dims[ResourceDim::kIops] = DimensionSpec::DailyPeriodic(1500, 900);
+  spiky.dims[ResourceDim::kLogRateMbps] =
+      DimensionSpec::Bursty(4.0, 12.0, 6.0, 20.0);
+  spiky.dims[ResourceDim::kIoLatencyMs] = DimensionSpec::Steady(6.0);
+  spiky.dims[ResourceDim::kStorageGb] = DimensionSpec::Steady(150, 0.01);
+
+  dma::AssessmentJsonOptions json;
+  json.include_stage_seconds = false;
+  std::string rendered;
+  std::uint64_t seed = 40;
+  for (const workload::WorkloadSpec* spec : {&trending, &spiky}) {
+    for (const int days : {8, 14, 30}) {
+      Rng rng(++seed);
+      StatusOr<telemetry::PerfTrace> trace =
+          workload::GenerateTrace(*spec, days, &rng);
+      ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+      for (const Deployment target : {Deployment::kSqlDb, Deployment::kSqlMi}) {
+        dma::AssessmentRequest request;
+        request.customer_id = spec->name + "_" + std::to_string(days) + "d";
+        request.target = target;
+        request.database_traces = {*trace};
+        request.compute_confidence = true;
+        StatusOr<dma::AssessmentOutcome> outcome = pipeline_->Assess(request);
+        ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+        ASSERT_TRUE(outcome->confidence.has_value());
+        rendered += dma::RenderAssessmentJson(*outcome, json) + "\n";
+      }
+    }
+  }
+  CompareWithGolden("confidence_long.jsonl", rendered);
 }
 
 // The streaming monitor's per-batch events, pinned byte for byte. Each

@@ -147,6 +147,51 @@ TEST_F(StageFixture, RecommendOnlyMaskSkipsDownstreamStages) {
   EXPECT_EQ(outcome->elastic.monthly_cost, whole->elastic.monthly_cost);
 }
 
+// Without the recommend stage, the confidence stage recommends once itself:
+// on a trace longer than the bootstrap window its runs agree with that pick
+// exactly as often as a full assessment's runs agree with its elastic pick.
+TEST_F(StageFixture, ConfidenceWithoutRecommendStageRecommendsItself) {
+  Rng rng(31);
+  workload::WorkloadSpec spec;
+  spec.name = "spiky";
+  workload::DimensionSpec cpu =
+      workload::DimensionSpec::Spiky(2.0, 9.0, 1.0, 30.0);
+  cpu.base_amplitude = 3.0;
+  spec.dims[ResourceDim::kCpu] = cpu;
+  spec.dims[ResourceDim::kMemoryGb] =
+      workload::DimensionSpec::DailyPeriodic(20.0, 12.0);
+  spec.dims[ResourceDim::kIops] =
+      workload::DimensionSpec::DailyPeriodic(1500.0, 900.0);
+  spec.dims[ResourceDim::kIoLatencyMs] =
+      workload::DimensionSpec::Steady(6.0);
+  StatusOr<telemetry::PerfTrace> trace =
+      workload::GenerateTrace(spec, 14.0, &rng);
+  ASSERT_TRUE(trace.ok());
+  AssessmentRequest request;
+  request.customer_id = "confidence-only";
+  request.target = Deployment::kSqlDb;
+  request.database_traces = {*std::move(trace)};
+  request.compute_confidence = true;
+
+  constexpr StageMask kSkipRecommend =
+      kStagePreprocess | kStageQuality | kStageLayout | kStageConfidence;
+  StatusOr<AssessmentOutcome> outcome =
+      pipeline_->AssessStages(request, kSkipRecommend);
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_TRUE(outcome->elastic.sku.id.empty());
+  ASSERT_TRUE(outcome->confidence.has_value());
+  EXPECT_FALSE(outcome->confidence->window_covers_trace);
+
+  StatusOr<AssessmentOutcome> whole = pipeline_->Assess(request);
+  ASSERT_TRUE(whole.ok());
+  ASSERT_TRUE(whole->confidence.has_value());
+  EXPECT_GT(whole->confidence->matching_runs, 0);
+  EXPECT_LT(whole->confidence->matching_runs, whole->confidence->runs);
+  EXPECT_EQ(outcome->confidence->matching_runs,
+            whole->confidence->matching_runs);
+  EXPECT_EQ(outcome->confidence->score, whole->confidence->score);
+}
+
 // The fleet assessor's masked overload applies the stage mask to every
 // request of the batch and still keeps results in request order.
 TEST_F(StageFixture, FleetAssessorHonoursStageMask) {

@@ -3,12 +3,15 @@
 // pricing configuration. These are the properties a production deployment
 // leans on without ever stating them.
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
+#include <iterator>
 #include <optional>
 
 #include <gtest/gtest.h>
 
+#include "bitwise_model.h"
 #include "catalog/catalog.h"
 #include "catalog/compiled_catalog.h"
 #include "exec/thread_pool.h"
@@ -449,46 +452,74 @@ TEST_P(EngineProperty, BatchCurveProbabilitiesAreKernelImplInvariant) {
   }
 }
 
-// The TraceStatsCache is pure memoization: every consumer must get bit-
-// identical numbers with and without it.
+// The R-7 quantile the way a textbook computes it: sort a copy, then
+// interpolate between the two neighbouring order statistics.
+double SortedQuantile(std::vector<double> values, double q) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  q = std::clamp(q, 0.0, 1.0);
+  const double position = q * static_cast<double>(values.size() - 1);
+  const std::size_t lower = static_cast<std::size_t>(position);
+  const std::size_t upper = std::min(lower + 1, values.size() - 1);
+  const double fraction = position - static_cast<double>(lower);
+  return values[lower] + fraction * (values[upper] - values[lower]);
+}
+
+// Order statistics cost one selection or one pass, never a sort: the
+// selection quantile and the baseline's scalar requirements equal the
+// sort-and-interpolate reference bit for bit, and the thresholding spike
+// window opens one standard deviation below the sorted maximum. (The name
+// dates from when these numbers were read from a per-trace sorted memo.)
 TEST_P(EngineProperty, TraceStatsCacheIsBitIdenticalToDirectComputation) {
   const telemetry::PerfTrace trace = RandomTrace(GetParam());
-  const telemetry::TraceStatsCache cache(trace);
   for (ResourceDim dim : trace.PresentDims()) {
     const std::vector<double>& values = trace.Values(dim);
-    EXPECT_EQ(cache.Mean(dim), stats::Mean(values));
-    EXPECT_EQ(cache.StdDev(dim), stats::StdDev(values));
-    EXPECT_EQ(cache.Min(dim), stats::Min(values));
-    EXPECT_EQ(cache.Max(dim), stats::Max(values));
-    for (double q : {0.05, 0.5, 0.95, 1.0}) {
-      EXPECT_EQ(cache.Quantile(dim, q), stats::Quantile(values, q));
+    for (double q : {0.0, 0.05, 0.5, 0.95, 1.0}) {
+      EXPECT_EQ(Bits(stats::Quantile(values, q)),
+                Bits(SortedQuantile(values, q)))
+          << catalog::ResourceDimName(dim) << " q=" << q;
     }
+    std::vector<double> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    const double sd = stats::StdDev(values);
+    const double window_low = sorted.back() - sd;
+    const double inside = static_cast<double>(
+        std::count_if(values.begin(), values.end(),
+                      [window_low](double v) { return v >= window_low; }));
+    EXPECT_EQ(Bits(core::ThresholdingStrategy::SpikeDurationFraction(values)),
+              Bits(sd <= 0.0 ? 1.0
+                             : inside / static_cast<double>(values.size())))
+        << catalog::ResourceDimName(dim);
   }
 
-  // Thresholding profile: cached and uncached scores byte-equal.
-  const core::ThresholdingStrategy thresholding;
-  const std::vector<ResourceDim> dims =
-      workload::ProfilingDims(Deployment::kSqlDb);
-  StatusOr<core::NegotiabilityScores> plain =
-      thresholding.Evaluate(trace, dims);
-  StatusOr<core::NegotiabilityScores> cached =
-      thresholding.Evaluate(trace, dims, &cache);
-  ASSERT_TRUE(plain.ok());
-  ASSERT_TRUE(cached.ok());
-  for (std::size_t i = 0; i < plain->scores.size(); ++i) {
-    EXPECT_EQ(plain->scores[i], cached->scores[i]);
-    EXPECT_EQ(plain->negotiable[i], cached->negotiable[i]);
+  const double quantile = 0.95;
+  const core::BaselineRecommender baseline(compiled_, quantile);
+  StatusOr<catalog::ResourceVector> needs = baseline.ScalarRequirements(trace);
+  ASSERT_TRUE(needs.ok());
+  ASSERT_EQ(needs->PresentDims(), trace.PresentDims());
+  for (ResourceDim dim : trace.PresentDims()) {
+    const double q =
+        catalog::IsInvertedDim(dim) ? 1.0 - quantile : quantile;
+    EXPECT_EQ(Bits(needs->Get(dim)),
+              Bits(SortedQuantile(trace.Values(dim), q)))
+        << catalog::ResourceDimName(dim);
   }
+}
 
-  // Baseline scalar requirements: same quantiles either way.
-  const core::BaselineRecommender baseline(compiled_);
-  StatusOr<catalog::ResourceVector> direct = baseline.ScalarRequirements(trace);
-  StatusOr<catalog::ResourceVector> memoized =
-      baseline.ScalarRequirements(trace, &cache);
-  ASSERT_TRUE(direct.ok());
-  ASSERT_TRUE(memoized.ok());
-  for (ResourceDim dim : direct->PresentDims()) {
-    EXPECT_EQ(direct->Get(dim), memoized->Get(dim));
+// Heavy ties and both signed zeros: which tied element the selection lands
+// on differs from a sort's, yet every quantile is the same double.
+TEST(QuantileProperty, SelectionMatchesSortUnderTiesAndSignedZeros) {
+  Rng rng(23);
+  const double kLevels[] = {-1.0, -0.0, 0.0, 0.0, 0.5, 1.0, 1.0};
+  for (std::size_t n : {1u, 2u, 3u, 17u, 288u}) {
+    std::vector<double> values(n);
+    for (double& v : values) v = kLevels[rng.UniformInt(std::size(kLevels))];
+    for (int step = 0; step <= 40; ++step) {
+      const double q = step / 40.0;
+      EXPECT_EQ(Bits(stats::Quantile(values, q)),
+                Bits(SortedQuantile(values, q)))
+          << "n=" << n << " q=" << q;
+    }
   }
 }
 

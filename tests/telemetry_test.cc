@@ -1,8 +1,6 @@
 // Unit tests for src/telemetry: traces, aggregation, the simulated
 // collector, and CSV IO.
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -14,7 +12,6 @@
 #include "telemetry/collector.h"
 #include "telemetry/perf_trace.h"
 #include "telemetry/trace_io.h"
-#include "telemetry/trace_stats.h"
 #include "util/random.h"
 
 namespace doppler::telemetry {
@@ -345,53 +342,6 @@ TEST(TraceIoTest, NonFiniteCellsRejectedWithRowContext) {
   const Status bad_time = TraceFromCsv(times).status();
   EXPECT_EQ(bad_time.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(bad_time.message().find("t_seconds"), std::string::npos);
-}
-
-// ---------------------------------------------------------- TraceStatsCache.
-
-// Equal values keep their row order in Sorted(): a stable sort, so -0.0
-// and +0.0 (which compare equal) land in a fixed, row-determined order.
-TEST(TraceStatsCacheTest, SortedKeepsRowOrderOfEqualValues) {
-  PerfTrace trace;
-  ASSERT_TRUE(
-      trace.SetSeries(ResourceDim::kCpu, {1.0, 0.0, -0.0, 0.5, -0.0, 0.0})
-          .ok());
-  const TraceStatsCache stats(trace);
-  const std::vector<double>& sorted = stats.Sorted(ResourceDim::kCpu);
-  ASSERT_EQ(sorted.size(), 6u);
-  const bool negative[] = {false, true, true, false};  // rows 1, 2, 4, 5
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(sorted[i], 0.0);
-    EXPECT_EQ(std::signbit(sorted[i]), negative[i]) << "position " << i;
-  }
-  EXPECT_EQ(sorted[4], 0.5);
-  EXPECT_EQ(sorted[5], 1.0);
-}
-
-// The cache borrows its trace: after a (sequential) mutation it rebuilds
-// instead of serving the previous sorted state, and references handed out
-// before the mutation read the fresh contents.
-TEST(GenerationInvalidationTest, StatsCacheRebuildsAfterTraceMutation) {
-  Rng rng(7);
-  std::vector<double> cpu(64);
-  for (double& v : cpu) v = std::floor(rng.Uniform(0.0, 16.0));
-  PerfTrace trace;
-  ASSERT_TRUE(trace.SetSeries(ResourceDim::kCpu, cpu).ok());
-  const TraceStatsCache stats(trace);
-  const std::vector<double>& sorted = stats.Sorted(ResourceDim::kCpu);
-  const double stale_max = stats.Max(ResourceDim::kCpu);
-  const std::uint64_t built_at = trace.generation();
-
-  // Replace the CPU series with a shifted copy; every order statistic moves.
-  for (double& v : cpu) v += 100.0;
-  ASSERT_TRUE(trace.SetSeries(ResourceDim::kCpu, cpu).ok());
-  ASSERT_GT(trace.generation(), built_at);
-
-  EXPECT_EQ(stats.Max(ResourceDim::kCpu), stale_max + 100.0);
-  EXPECT_EQ(stats.Min(ResourceDim::kCpu),
-            *std::min_element(cpu.begin(), cpu.end()));
-  EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
-  EXPECT_GE(sorted.front(), 100.0);
 }
 
 }  // namespace

@@ -125,11 +125,13 @@ ctest --test-dir "${build_dir}" --output-on-failure -j"$(nproc)"
 # pinned to the scalar reference (DOPPLER_KERNEL=scalar), so a host whose
 # SIMD path masks a scalar bug — or vice versa — still fails here. The
 # golden suite refits the shipped group models, so the compiled constants
-# are re-derived under both kernel ISAs.
+# are re-derived under both kernel ISAs; the recommender suite holds the
+# bootstrap-confidence oracle, so windowed reruns are checked under both.
 DOPPLER_KERNEL=scalar "${build_dir}/tests/kernel_test"
 DOPPLER_KERNEL=scalar "${build_dir}/tests/stream_test"
 DOPPLER_KERNEL=scalar "${build_dir}/tests/property_test"
 DOPPLER_KERNEL=scalar "${build_dir}/tests/golden_report_test"
+DOPPLER_KERNEL=scalar "${build_dir}/tests/core_recommender_test"
 
 # ThreadSanitizer pass over the concurrency-sensitive suites: the
 # lock-free metrics/tracer tests and the exec thread-pool / parallel fleet

@@ -127,7 +127,8 @@ Status SkuRecommendationPipeline::StagePreprocess(RequestContext& ctx) const {
   AssessmentOutcome& outcome = ctx.outcome;
 
   // The quality report starts from whatever ingestion already found (the
-  // CLI's CSV-boundary gate) and accumulates the per-database gates.
+  // CLI's CSV-boundary gate). A request gated at ingest is not gated again;
+  // any other passes the per-database gate here.
   outcome.quality = request.ingest_quality;
   outcome.quality.policy = request.quality_policy;
   const bool pregated = outcome.quality.samples_in > 0;
@@ -137,14 +138,9 @@ Status SkuRecommendationPipeline::StagePreprocess(RequestContext& ctx) const {
     StageScope stage("pipeline.preprocess", &ctx.timings);
     DOPPLER_ASSIGN_OR_RETURN(
         outcome.instance_trace,
-        preprocessing_.PrepareInstanceTrace(request.database_traces, gate,
+        preprocessing_.PrepareInstanceTrace(request.database_traces,
+                                            pregated ? nullptr : &gate,
                                             &ctx.pipeline_gate));
-  }
-  if (pregated) {
-    // Ingestion already counted the raw samples; the in-pipeline re-gate
-    // of the repaired trace contributes defect findings only.
-    ctx.pipeline_gate.samples_in = 0;
-    ctx.pipeline_gate.samples_out = 0;
   }
   outcome.quality.MergeFrom(ctx.pipeline_gate);
   return OkStatus();

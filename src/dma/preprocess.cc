@@ -14,35 +14,38 @@ StatusOr<telemetry::PerfTrace> DataPreprocessingModule::PrepareDatabaseTrace(
   return telemetry::ResampleTrace(raw, output_interval_seconds_);
 }
 
-StatusOr<telemetry::PerfTrace> DataPreprocessingModule::PrepareDatabaseTrace(
-    const telemetry::PerfTrace& raw, const quality::GateOptions& gate,
+StatusOr<telemetry::PerfTrace> DataPreprocessingModule::PrepareInstanceTrace(
+    const std::vector<telemetry::PerfTrace>& raw_databases,
+    const quality::GateOptions* gate,
     quality::TraceQualityReport* report) const {
-  DOPPLER_TRACE_SPAN("preprocess.database");
   static obs::Counter* const kDatabases =
       obs::DefaultMetrics().GetCounter("preprocess.databases");
   static obs::Counter* const kSamplesIn =
       obs::DefaultMetrics().GetCounter("preprocess.samples_in");
-  kDatabases->Increment();
-  kSamplesIn->Increment(raw.num_samples());
-  quality::GateOptions per_database = gate;
-  // Expected dimensions are judged once on the instance rollup; a single
-  // database legitimately misses dimensions its siblings carry.
-  per_database.expected_dims.clear();
-  DOPPLER_ASSIGN_OR_RETURN(quality::GatedTrace gated,
-                           quality::GateTrace(raw, per_database));
-  if (report != nullptr) report->MergeFrom(gated.report);
-  return PrepareDatabaseTrace(gated.trace);
-}
-
-StatusOr<telemetry::PerfTrace> DataPreprocessingModule::PrepareInstanceTrace(
-    const std::vector<telemetry::PerfTrace>& raw_databases,
-    const quality::GateOptions& gate,
-    quality::TraceQualityReport* report) const {
+  quality::GateOptions per_database;
+  if (gate != nullptr) {
+    per_database = *gate;
+    // Expected dimensions are judged once on the instance rollup; a single
+    // database legitimately misses dimensions its siblings carry.
+    per_database.expected_dims.clear();
+  }
   std::vector<telemetry::PerfTrace> prepared;
   prepared.reserve(raw_databases.size());
   for (const telemetry::PerfTrace& raw : raw_databases) {
+    DOPPLER_TRACE_SPAN("preprocess.database");
+    kDatabases->Increment();
+    kSamplesIn->Increment(raw.num_samples());
+    if (gate == nullptr) {
+      DOPPLER_ASSIGN_OR_RETURN(telemetry::PerfTrace trace,
+                               PrepareDatabaseTrace(raw));
+      prepared.push_back(std::move(trace));
+      continue;
+    }
+    DOPPLER_ASSIGN_OR_RETURN(quality::GatedTrace gated,
+                             quality::GateTrace(raw, per_database));
+    if (report != nullptr) report->MergeFrom(gated.report);
     DOPPLER_ASSIGN_OR_RETURN(telemetry::PerfTrace trace,
-                             PrepareDatabaseTrace(raw, gate, report));
+                             PrepareDatabaseTrace(gated.trace));
     prepared.push_back(std::move(trace));
   }
   DOPPLER_TRACE_SPAN("preprocess.rollup");
@@ -57,18 +60,6 @@ StatusOr<telemetry::PerfTrace> DataPreprocessingModule::PrepareInstanceTrace(
                         << " instance samples";
   }
   return instance;
-}
-
-StatusOr<telemetry::PerfTrace> DataPreprocessingModule::PrepareInstanceTrace(
-    const std::vector<telemetry::PerfTrace>& raw_databases) const {
-  std::vector<telemetry::PerfTrace> prepared;
-  prepared.reserve(raw_databases.size());
-  for (const telemetry::PerfTrace& raw : raw_databases) {
-    DOPPLER_ASSIGN_OR_RETURN(telemetry::PerfTrace trace,
-                             PrepareDatabaseTrace(raw));
-    prepared.push_back(std::move(trace));
-  }
-  return telemetry::RollupToInstance(prepared);
 }
 
 StatusOr<core::GroupModel> FitGroupModelOffline(

@@ -28,25 +28,17 @@ class DataPreprocessingModule {
   StatusOr<telemetry::PerfTrace> PrepareDatabaseTrace(
       const telemetry::PerfTrace& raw) const;
 
-  /// Quality-gated variant: runs the cell-level telemetry gate (NaN/Inf,
-  /// negative counters, dead series) on the raw trace before re-binning
-  /// and folds what the gate found into `report` (may be null). Degraded
-  /// mode is deliberately NOT assessed here — expected dimensions are
-  /// judged once on the instance rollup, not per database.
-  StatusOr<telemetry::PerfTrace> PrepareDatabaseTrace(
-      const telemetry::PerfTrace& raw, const quality::GateOptions& gate,
-      quality::TraceQualityReport* report) const;
-
-  /// Re-bins every database then rolls them up to one instance trace.
-  StatusOr<telemetry::PerfTrace> PrepareInstanceTrace(
-      const std::vector<telemetry::PerfTrace>& raw_databases) const;
-
-  /// Quality-gated variant of the rollup: every database trace passes the
-  /// gate (accumulating into `report`) before re-binning and aggregation.
+  /// Re-bins every database then rolls them up to one instance trace. With
+  /// `gate`, each raw database trace first passes the cell-level telemetry
+  /// gate (NaN/Inf, negative counters, dead series) and what it finds is
+  /// folded into `report` (may be null); without, the traces were gated at
+  /// ingest and are not gated twice. Degraded mode is deliberately NOT
+  /// assessed here: expected dimensions are judged once on the instance
+  /// rollup, not per database.
   StatusOr<telemetry::PerfTrace> PrepareInstanceTrace(
       const std::vector<telemetry::PerfTrace>& raw_databases,
-      const quality::GateOptions& gate,
-      quality::TraceQualityReport* report) const;
+      const quality::GateOptions* gate = nullptr,
+      quality::TraceQualityReport* report = nullptr) const;
 
  private:
   std::int64_t output_interval_seconds_;

@@ -46,7 +46,9 @@ struct AssessmentRequest {
   quality::QualityPolicy quality_policy = quality::QualityPolicy::kRepair;
   /// Quality findings from ingestion upstream of the pipeline (e.g. the
   /// CLI's ReadTraceFileGated); merged into the outcome's report so the
-  /// full dirt trail survives end to end.
+  /// full dirt trail survives end to end. A report with samples_in > 0
+  /// marks the traces as gated already: the pipeline does not gate them
+  /// again.
   quality::TraceQualityReport ingest_quality;
   /// Time budget for the assessment, checked cooperatively at stage
   /// boundaries: an expired request returns kDeadlineExceeded carrying the

@@ -1,7 +1,8 @@
 #include "dma/static_inputs.h"
 
 #include <charconv>
-#include <cstdlib>
+#include <cmath>
+#include <limits>
 
 #include "util/string_util.h"
 
@@ -9,13 +10,16 @@ namespace doppler::dma {
 
 namespace {
 
+// Static inputs are limits, prices and probabilities: finite numbers.
 StatusOr<double> ParseNumber(const std::string& text) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || !Trim(end).empty()) {
+  const ParsedCell cell = ParseCell(text);
+  if (cell.cls == CellClass::kMalformed) {
     return InvalidArgumentError("not a number: '" + text + "'");
   }
-  return value;
+  if (cell.cls == CellClass::kNonFinite) {
+    return InvalidArgumentError("not a finite number: '" + text + "'");
+  }
+  return cell.value;
 }
 
 // The shortest text that parses back to exactly `value`, so a saved group
@@ -29,6 +33,11 @@ std::string RoundTripDouble(double value) {
 
 StatusOr<int> ParseInt(const std::string& text) {
   DOPPLER_ASSIGN_OR_RETURN(double value, ParseNumber(text));
+  if (value != std::trunc(value) ||
+      value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return InvalidArgumentError("not an int: '" + text + "'");
+  }
   return static_cast<int>(value);
 }
 

@@ -1,12 +1,15 @@
 #include "quality/quality_gate.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
+#include <numeric>
+#include <string_view>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/file_util.h"
 #include "util/string_util.h"
 
 namespace doppler::quality {
@@ -17,39 +20,86 @@ using catalog::ResourceDim;
 using telemetry::PerfTrace;
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr std::size_t kNoColumn = static_cast<std::size_t>(-1);
 
-/// What the parser found in one cell.
-enum class CellFlag { kOk, kMalformed, kNonFinite, kNegative };
+// The largest grid slot the gate places a row on: the report counts slots
+// as int. A cadence must fit in int64.
+constexpr double kMaxSlot = std::numeric_limits<int>::max();
+constexpr double kMaxCadenceSeconds = 0x1p63;
 
-struct ParsedCell {
-  double value = kNan;
-  CellFlag flag = CellFlag::kMalformed;
-};
+/// A trace CSV read column-wise: the timestamp column, and one value column
+/// plus one class column per known resource column (header order; other
+/// columns are skipped). Rows arrive as string_view fields, so a file's
+/// lines and a CsvTable's rows fill the same columns.
+struct TraceColumns {
+  std::size_t time_col = kNoColumn;
+  std::vector<std::size_t> cols;  // Source column of each dimension.
+  std::vector<ResourceDim> dims;
+  std::vector<double> t;  // NaN or +-inf where unusable.
+  std::vector<std::vector<double>> values;
+  std::vector<std::vector<CellClass>> classes;
+  /// The first defective cell in reading order (a row's timestamp before
+  /// its counters): its 1-based data row (0 = none) and its text, which
+  /// strict-mode messages quote.
+  std::size_t fault_row = 0;
+  std::string fault_text;
 
-ParsedCell ParseCell(const std::string& text) {
-  ParsedCell cell;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || !Trim(end).empty()) {
-    return cell;  // kMalformed.
+  void SetHeader(const CsvFields& header, std::size_t rows) {
+    for (std::size_t c = 0; c < header.size(); ++c) {
+      if (header[c] == "t_seconds" && time_col == kNoColumn) {
+        time_col = c;
+        continue;
+      }
+      ResourceDim dim;
+      if (!catalog::ParseResourceDim(std::string(header[c]), &dim)) continue;
+      cols.push_back(c);
+      dims.push_back(dim);
+    }
+    t.reserve(rows);
+    values.assign(dims.size(), {});
+    classes.assign(dims.size(), {});
+    for (std::size_t d = 0; d < dims.size(); ++d) {
+      values[d].reserve(rows);
+      classes[d].reserve(rows);
+    }
   }
-  cell.value = value;
-  if (!std::isfinite(value)) {
-    cell.flag = CellFlag::kNonFinite;
-  } else if (value < 0.0) {
-    cell.flag = CellFlag::kNegative;
-  } else {
-    cell.flag = CellFlag::kOk;
-  }
-  return cell;
-}
 
-/// One raw sample: timestamp, source row (1-based, for diagnostics), and
-/// one parsed cell per gated dimension column.
-struct RawRow {
-  double t = 0.0;
-  std::size_t source_row = 0;
-  std::vector<ParsedCell> cells;
+  void AddRow(const CsvFields& fields) {
+    if (time_col == kNoColumn) return;
+    t.push_back(ParseCell(fields[time_col]).value);
+    if (!std::isfinite(t.back())) NoteFault(fields[time_col]);
+    for (std::size_t d = 0; d < dims.size(); ++d) {
+      const ParsedCell cell = ParseCell(fields[cols[d]]);
+      values[d].push_back(cell.value);
+      classes[d].push_back(cell.cls);
+      if (cell.cls != CellClass::kOk) NoteFault(fields[cols[d]]);
+    }
+  }
+
+  void NoteFault(std::string_view text) {
+    if (fault_row != 0) return;
+    fault_row = t.size();
+    fault_text = text;
+  }
+
+  /// Keeps rows `index[0]`, `index[1]`, ... in that order: one permutation
+  /// (or selection) applied to every column.
+  void Keep(const std::vector<std::size_t>& index) {
+    Gather(index, &t);
+    for (std::size_t d = 0; d < dims.size(); ++d) {
+      Gather(index, &values[d]);
+      Gather(index, &classes[d]);
+    }
+  }
+
+  template <typename T>
+  static void Gather(const std::vector<std::size_t>& index,
+                     std::vector<T>* column) {
+    std::vector<T> kept;
+    kept.reserve(index.size());
+    for (std::size_t i : index) kept.push_back((*column)[i]);
+    *column = std::move(kept);
+  }
 };
 
 /// Linear interpolation of every not-ok slot from its nearest ok
@@ -115,147 +165,139 @@ void RecordGateMetrics(const TraceQualityReport& report) {
   }
 }
 
-}  // namespace
-
-void AssessDegradedMode(const std::vector<ResourceDim>& present,
-                        const std::vector<ResourceDim>& expected,
-                        TraceQualityReport* report) {
-  report->assessed_dims = present;
-  report->missing_dims.clear();
-  for (ResourceDim dim : expected) {
-    if (std::find(present.begin(), present.end(), dim) == present.end()) {
-      report->missing_dims.push_back(dim);
-    }
+std::string DimNames(const std::vector<ResourceDim>& dims) {
+  std::string names;
+  for (ResourceDim dim : dims) {
+    if (!names.empty()) names += ", ";
+    names += catalog::ResourceDimName(dim);
   }
-  report->degraded = !report->missing_dims.empty();
-  report->confidence_penalty =
-      expected.empty() ? 0.0
-                       : static_cast<double>(report->missing_dims.size()) /
-                             static_cast<double>(expected.size());
-  if (report->degraded) {
-    std::string names;
-    for (ResourceDim dim : report->missing_dims) {
-      if (!names.empty()) names += ", ";
-      names += catalog::ResourceDimName(dim);
-    }
-    report->Add(DefectClass::kMissingDimension,
-                static_cast<int>(report->missing_dims.size()),
-                /*repaired=*/false,
-                "assessment narrowed to collected dimensions; missing: " +
-                    names);
-  }
+  return names;
 }
 
-StatusOr<GatedTrace> GateTraceCsv(const CsvTable& table,
-                                  const GateOptions& options) {
-  DOPPLER_TRACE_SPAN("quality.gate_csv");
-  DOPPLER_ASSIGN_OR_RETURN(std::size_t time_col,
-                           table.ColumnIndex("t_seconds"));
-  const bool strict = options.policy == QualityPolicy::kStrict;
-  const bool repair = options.policy == QualityPolicy::kRepair;
-
-  // Map gated columns to dimensions (unknown columns are ignored, matching
-  // TraceFromCsv).
-  std::vector<std::size_t> dim_cols;
-  std::vector<ResourceDim> dims;
-  for (std::size_t c = 0; c < table.num_columns(); ++c) {
-    if (c == time_col) continue;
-    ResourceDim dim;
-    if (!catalog::ParseResourceDim(table.header()[c], &dim)) continue;
-    dim_cols.push_back(c);
-    dims.push_back(dim);
+// Both gates end here: degraded mode against the expected dimensions (the
+// strict policy refuses it), then the gated trace.
+StatusOr<GatedTrace> FinishGate(GatedTrace gated, PerfTrace trace,
+                                const std::vector<ResourceDim>& kept_dims,
+                                const GateOptions& options) {
+  AssessDegradedMode(kept_dims, options.expected_dims, &gated.report);
+  if (options.policy == QualityPolicy::kStrict && gated.report.degraded) {
+    return FailedPreconditionError("expected dimensions missing: " +
+                                   DimNames(gated.report.missing_dims));
   }
+  gated.trace = std::move(trace);
+  RecordGateMetrics(gated.report);
+  return gated;
+}
+
+// A timestamp whose grid slot does not fit in an int, or a spacing that
+// fits no int64 cadence, lies beyond any gap the gate could count or
+// bridge: every policy rejects the trace, as repair rejects an over-long
+// gap.
+Status OffGridError(double t) {
+  char text[32];
+  const std::to_chars_result written = std::to_chars(text, text + 32, t);
+  return FailedPreconditionError(
+      "timestamp " + std::string(text, written.ptr) +
+      " lies beyond any cadence grid; trace rejected rather than invented");
+}
+
+// The gate proper, on a trace read into columns.
+StatusOr<GatedTrace> GateColumns(TraceColumns columns,
+                                 const GateOptions& options) {
+  DOPPLER_TRACE_SPAN("quality.gate_csv");
+  if (columns.time_col == kNoColumn) {
+    return NotFoundError("no column named 't_seconds'");
+  }
+  const std::vector<ResourceDim>& dims = columns.dims;
   if (dims.empty()) {
     return InvalidArgumentError("CSV contains no known resource columns");
   }
+  const bool strict = options.policy == QualityPolicy::kStrict;
+  const bool repair = options.policy == QualityPolicy::kRepair;
+  std::vector<double>& t = columns.t;
 
   GatedTrace gated;
   gated.report.policy = options.policy;
-  gated.report.samples_in = static_cast<int>(table.num_rows());
+  gated.report.samples_in = static_cast<int>(t.size());
 
-  // ---- Pass 1: parse rows; cell defects surface here.
-  std::vector<RawRow> rows;
-  rows.reserve(table.num_rows());
-  for (std::size_t r = 0; r < table.num_rows(); ++r) {
-    RawRow row;
-    row.source_row = r + 1;
-    const ParsedCell t = ParseCell(table.row(r)[time_col]);
-    if (t.flag == CellFlag::kMalformed || t.flag == CellFlag::kNonFinite) {
-      if (strict) {
-        return InvalidArgumentError(
-            "unusable timestamp at " + RowContext(row.source_row, "t_seconds") +
-            ": '" + table.row(r)[time_col] + "'");
+  // ---- Pass 1: cell defects, row by row from the first defective one.
+  if (columns.fault_row != 0) {
+    std::vector<std::size_t> usable(columns.fault_row - 1);
+    std::iota(usable.begin(), usable.end(), 0);
+    for (std::size_t r = columns.fault_row - 1; r < t.size(); ++r) {
+      if (!std::isfinite(t[r])) {
+        if (strict) {
+          return InvalidArgumentError(
+              "unusable timestamp at " + RowContext(r + 1, "t_seconds") +
+              ": '" + columns.fault_text + "'");
+        }
+        // A sample that cannot be placed in time is dropped under both
+        // repair and permissive: there is no slot to carry it in.
+        gated.report.Add(DefectClass::kMalformedCell, 1, /*repaired=*/true,
+                         "rows with unusable timestamps dropped");
+        continue;
       }
-      // A sample that cannot be placed in time is dropped under both
-      // repair and permissive: there is no slot to carry it in.
-      gated.report.Add(DefectClass::kMalformedCell, 1, /*repaired=*/true,
-                       "rows with unusable timestamps dropped");
-      continue;
-    }
-    row.t = t.value;
-    row.cells.reserve(dims.size());
-    for (std::size_t d = 0; d < dims.size(); ++d) {
-      ParsedCell cell = ParseCell(table.row(r)[dim_cols[d]]);
-      switch (cell.flag) {
-        case CellFlag::kMalformed:
-          if (strict) {
-            return InvalidArgumentError(
-                "not a number at " +
-                RowContext(row.source_row, table.header()[dim_cols[d]]) +
-                ": '" + table.row(r)[dim_cols[d]] + "'");
-          }
-          gated.report.Add(DefectClass::kMalformedCell, 1, repair,
-                           repair ? "unparseable cells interpolated"
-                                  : "unparseable cells carried as NaN");
-          break;
-        case CellFlag::kNonFinite:
-          if (strict) {
-            return InvalidArgumentError(
-                "non-finite value at " +
-                RowContext(row.source_row, table.header()[dim_cols[d]]));
-          }
-          gated.report.Add(DefectClass::kNonFinite, 1, repair,
-                           repair ? "NaN/Inf cells interpolated"
-                                  : "NaN/Inf cells kept");
-          break;
-        case CellFlag::kNegative:
-          if (strict) {
-            return InvalidArgumentError(
-                "negative counter at " +
-                RowContext(row.source_row, table.header()[dim_cols[d]]));
-          }
-          if (repair) {
-            cell.value = 0.0;
-            cell.flag = CellFlag::kOk;
-            gated.report.Add(DefectClass::kNegative, 1, /*repaired=*/true,
-                             "negative counters clamped to 0");
-          } else {
-            gated.report.Add(DefectClass::kNegative, 1, /*repaired=*/false,
-                             "negative counters kept");
-          }
-          break;
-        case CellFlag::kOk:
-          break;
+      usable.push_back(r);
+      for (std::size_t d = 0; d < dims.size(); ++d) {
+        const char* column = catalog::ResourceDimName(dims[d]);
+        CellClass& cls = columns.classes[d][r];
+        switch (cls) {
+          case CellClass::kMalformed:
+            if (strict) {
+              return InvalidArgumentError("not a number at " +
+                                          RowContext(r + 1, column) + ": '" +
+                                          columns.fault_text + "'");
+            }
+            gated.report.Add(DefectClass::kMalformedCell, 1, repair,
+                             repair ? "unparseable cells interpolated"
+                                    : "unparseable cells carried as NaN");
+            break;
+          case CellClass::kNonFinite:
+            if (strict) {
+              return InvalidArgumentError("non-finite value at " +
+                                          RowContext(r + 1, column));
+            }
+            gated.report.Add(DefectClass::kNonFinite, 1, repair,
+                             repair ? "NaN/Inf cells interpolated"
+                                    : "NaN/Inf cells kept");
+            break;
+          case CellClass::kNegative:
+            if (strict) {
+              return InvalidArgumentError("negative counter at " +
+                                          RowContext(r + 1, column));
+            }
+            if (repair) {
+              columns.values[d][r] = 0.0;
+              cls = CellClass::kOk;
+            }
+            gated.report.Add(DefectClass::kNegative, 1, repair,
+                             repair ? "negative counters clamped to 0"
+                                    : "negative counters kept");
+            break;
+          case CellClass::kOk:
+            break;
+        }
       }
-      row.cells.push_back(cell);
     }
-    rows.push_back(std::move(row));
+    if (usable.size() < t.size()) columns.Keep(usable);
   }
-  if (rows.size() < options.min_samples) {
+  if (t.size() < options.min_samples) {
     return InvalidArgumentError(
-        "trace retains " + std::to_string(rows.size()) +
+        "trace retains " + std::to_string(t.size()) +
         " usable samples; at least " + std::to_string(options.min_samples) +
         " required");
   }
+  // Without strict, rows may since have been dropped; strict has failed on
+  // any such row, so there row i is still data row i + 1.
 
   // ---- Pass 2: timestamp order.
   int inversions = 0;
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    if (rows[i].t < rows[i - 1].t) {
+  for (std::size_t i = 1; i < t.size(); ++i) {
+    if (t[i] < t[i - 1]) {
       if (strict) {
         return InvalidArgumentError(
             "t_seconds not strictly increasing at data row " +
-            std::to_string(rows[i].source_row));
+            std::to_string(i + 1));
       }
       ++inversions;
     }
@@ -264,71 +306,68 @@ StatusOr<GatedTrace> GateTraceCsv(const CsvTable& table,
     // Sorting is structural: PerfTrace has no timestamps, so order must be
     // restored before the series can exist at all (hence "repaired" even
     // under the record-only policy).
-    std::stable_sort(rows.begin(), rows.end(),
-                     [](const RawRow& a, const RawRow& b) { return a.t < b.t; });
+    std::vector<std::size_t> order(t.size());
+    std::iota(order.begin(), order.end(), 0);
+    const auto earlier = [&t](std::size_t a, std::size_t b) {
+      return t[a] < t[b];
+    };
+    std::stable_sort(order.begin(), order.end(), earlier);
+    columns.Keep(order);
     gated.report.Add(DefectClass::kOutOfOrder, inversions, /*repaired=*/true,
                      "rows re-sorted by timestamp");
   }
 
   // ---- Pass 3: duplicate timestamps.
-  std::vector<RawRow> unique_rows;
-  unique_rows.reserve(rows.size());
   int duplicates = 0;
-  for (std::size_t i = 0; i < rows.size();) {
+  std::vector<std::size_t> firsts;  // First row of each timestamp.
+  for (std::size_t i = 0; i < t.size();) {
     std::size_t j = i + 1;
-    while (j < rows.size() && rows[j].t == rows[i].t) ++j;
-    if (j - i > 1) {
-      if (strict) {
-        return InvalidArgumentError("duplicate timestamp at data row " +
-                                    std::to_string(rows[i + 1].source_row));
-      }
-      duplicates += static_cast<int>(j - i - 1);
-      if (repair) {
-        // Average the duplicates' usable cells per dimension.
-        RawRow merged = rows[i];
-        for (std::size_t d = 0; d < dims.size(); ++d) {
-          double sum = 0.0;
-          int n = 0;
-          for (std::size_t k = i; k < j; ++k) {
-            if (rows[k].cells[d].flag == CellFlag::kOk) {
-              sum += rows[k].cells[d].value;
-              ++n;
-            }
-          }
-          if (n > 0) {
-            merged.cells[d].value = sum / n;
-            merged.cells[d].flag = CellFlag::kOk;
-          }
-        }
-        unique_rows.push_back(std::move(merged));
-      } else {
-        unique_rows.push_back(rows[i]);  // Record-only keeps the first.
-      }
-    } else {
-      unique_rows.push_back(rows[i]);
+    while (j < t.size() && t[j] == t[i]) ++j;
+    if (j - i > 1 && strict) {
+      return InvalidArgumentError("duplicate timestamp at data row " +
+                                  std::to_string(i + 2));
     }
+    duplicates += static_cast<int>(j - i - 1);
+    // Repair averages the duplicates' usable cells per dimension into the
+    // first; record-only keeps the first.
+    for (std::size_t d = 0; repair && j - i > 1 && d < dims.size(); ++d) {
+      double sum = 0.0;
+      int n = 0;
+      for (std::size_t k = i; k < j; ++k) {
+        if (columns.classes[d][k] == CellClass::kOk) {
+          sum += columns.values[d][k];
+          ++n;
+        }
+      }
+      if (n > 0) {
+        columns.values[d][i] = sum / n;
+        columns.classes[d][i] = CellClass::kOk;
+      }
+    }
+    firsts.push_back(i);
     i = j;
   }
   if (duplicates > 0) {
+    columns.Keep(firsts);
     gated.report.Add(DefectClass::kDuplicateTimestamp, duplicates,
                      /*repaired=*/true,
                      repair ? "duplicate samples averaged"
                             : "first of each duplicate kept");
   }
-  rows = std::move(unique_rows);
 
   // ---- Pass 4: cadence. The dominant interval is the median delta.
   std::int64_t interval = telemetry::kDmaIntervalSeconds;
-  if (rows.size() >= 2) {
+  if (t.size() >= 2) {
     std::vector<double> deltas;
-    deltas.reserve(rows.size() - 1);
-    for (std::size_t i = 1; i < rows.size(); ++i) {
-      deltas.push_back(rows[i].t - rows[i - 1].t);
+    deltas.reserve(t.size() - 1);
+    for (std::size_t i = 1; i < t.size(); ++i) {
+      deltas.push_back(t[i] - t[i - 1]);
     }
     std::nth_element(deltas.begin(), deltas.begin() + deltas.size() / 2,
                      deltas.end());
-    interval = std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(std::llround(deltas[deltas.size() / 2])));
+    const double median = deltas[deltas.size() / 2];
+    if (!(median < kMaxCadenceSeconds)) return OffGridError(t.back());
+    interval = std::max<std::int64_t>(1, std::llround(median));
   }
   if (options.canonical_interval_seconds > 0 &&
       interval != options.canonical_interval_seconds) {
@@ -341,31 +380,39 @@ StatusOr<GatedTrace> GateTraceCsv(const CsvTable& table,
   }
 
   // Assign each row to its grid slot; drift and gaps surface here.
-  const double t0 = rows.front().t;
+  const double t0 = t.front();
+  const double step = static_cast<double>(interval);
   int drift = 0;
-  std::vector<std::size_t> slots(rows.size());
-  std::size_t last_slot = 0;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const double exact = (rows[i].t - t0) / static_cast<double>(interval);
-    const auto slot = static_cast<std::size_t>(std::max(0.0, std::round(exact)));
-    const double off = std::abs(rows[i].t - (t0 + static_cast<double>(slot) *
-                                                      static_cast<double>(interval)));
-    if (off > options.cadence_drift_tolerance * static_cast<double>(interval)) {
+  std::vector<std::size_t> slots(t.size());
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const double slot = std::max(0.0, std::round((t[i] - t0) / step));
+    if (!(slot <= kMaxSlot)) return OffGridError(t[i]);
+    const double off = std::abs(t[i] - (t0 + slot * step));
+    if (off > options.cadence_drift_tolerance * step) {
       if (strict) {
         return InvalidArgumentError(
-            "cadence drift at data row " + std::to_string(rows[i].source_row) +
-            ": timestamp " + FormatDouble(rows[i].t, 1) + " is off the " +
+            "cadence drift at data row " + std::to_string(i + 1) +
+            ": timestamp " + FormatDouble(t[i], 1) + " is off the " +
             std::to_string(interval) + "s grid");
       }
       ++drift;
     }
-    slots[i] = slot;
-    last_slot = std::max(last_slot, slot);
+    slots[i] = static_cast<std::size_t>(slot);
   }
   if (drift > 0) {
     gated.report.Add(DefectClass::kCadenceDrift, drift, repair,
                      repair ? "timestamps snapped to the cadence grid"
                             : "off-grid timestamps recorded");
+  }
+  // Rows are sorted, so the missing slots are the runs between neighbours.
+  int gap_slots = 0;
+  std::size_t longest_gap = 0;
+  for (std::size_t i = 1; i < slots.size(); ++i) {
+    if (slots[i] > slots[i - 1] + 1) {
+      const std::size_t gap = slots[i] - slots[i - 1] - 1;
+      gap_slots += static_cast<int>(gap);
+      longest_gap = std::max(longest_gap, gap);
+    }
   }
 
   // ---- Pass 5: build the aligned series.
@@ -375,21 +422,6 @@ StatusOr<GatedTrace> GateTraceCsv(const CsvTable& table,
   if (repair) {
     // Slot-indexed assembly: gaps and bad cells become missing slots, all
     // interpolated in one pass so Eq. 1 keeps every time point.
-    int gap_slots = 0;
-    std::size_t longest_gap = 0;
-    {
-      std::vector<bool> has_row(last_slot + 1, false);
-      for (std::size_t slot : slots) has_row[slot] = true;
-      std::size_t run = 0;
-      for (std::size_t s = 0; s <= last_slot; ++s) {
-        if (has_row[s]) {
-          run = 0;
-        } else {
-          ++gap_slots;
-          longest_gap = std::max(longest_gap, ++run);
-        }
-      }
-    }
     if (longest_gap > options.max_gap_intervals) {
       return FailedPreconditionError(
           "collector gap of " + std::to_string(longest_gap) +
@@ -402,12 +434,13 @@ StatusOr<GatedTrace> GateTraceCsv(const CsvTable& table,
                        "interpolation");
     }
 
+    const std::size_t length = slots.back() + 1;
     for (std::size_t d = 0; d < dims.size(); ++d) {
-      std::vector<double> values(last_slot + 1, kNan);
-      std::vector<bool> ok(last_slot + 1, false);
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        if (rows[i].cells[d].flag == CellFlag::kOk) {
-          values[slots[i]] = rows[i].cells[d].value;
+      std::vector<double> values(length, kNan);
+      std::vector<bool> ok(length, false);
+      for (std::size_t i = 0; i < slots.size(); ++i) {
+        if (columns.classes[d][i] == CellClass::kOk) {
+          values[slots[i]] = columns.values[d][i];
           ok[slots[i]] = true;
         }
       }
@@ -436,12 +469,6 @@ StatusOr<GatedTrace> GateTraceCsv(const CsvTable& table,
   } else {
     // Record-only: keep the sorted samples as-is; gaps compress time and
     // are recorded, not filled.
-    int gap_slots = 0;
-    for (std::size_t i = 1; i < rows.size(); ++i) {
-      if (slots[i] > slots[i - 1] + 1) {
-        gap_slots += static_cast<int>(slots[i] - slots[i - 1] - 1);
-      }
-    }
     if (gap_slots > 0) {
       if (strict) {
         return FailedPreconditionError(
@@ -453,9 +480,7 @@ StatusOr<GatedTrace> GateTraceCsv(const CsvTable& table,
                        "policy)");
     }
     for (std::size_t d = 0; d < dims.size(); ++d) {
-      std::vector<double> values;
-      values.reserve(rows.size());
-      for (const RawRow& row : rows) values.push_back(row.cells[d].value);
+      std::vector<double>& values = columns.values[d];
       if (AllZero(values)) {
         if (strict) {
           return FailedPreconditionError(
@@ -484,20 +509,46 @@ StatusOr<GatedTrace> GateTraceCsv(const CsvTable& table,
   }
 
   // ---- Pass 6: degraded-mode assessment.
-  AssessDegradedMode(kept_dims, options.expected_dims, &gated.report);
-  if (strict && gated.report.degraded) {
-    std::string names;
-    for (ResourceDim dim : gated.report.missing_dims) {
-      if (!names.empty()) names += ", ";
-      names += catalog::ResourceDimName(dim);
-    }
-    return FailedPreconditionError("expected dimensions missing: " + names);
-  }
-
   gated.report.samples_out = static_cast<int>(trace.num_samples());
-  gated.trace = std::move(trace);
-  RecordGateMetrics(gated.report);
-  return gated;
+  return FinishGate(std::move(gated), std::move(trace), kept_dims, options);
+}
+
+}  // namespace
+
+void AssessDegradedMode(const std::vector<ResourceDim>& present,
+                        const std::vector<ResourceDim>& expected,
+                        TraceQualityReport* report) {
+  report->assessed_dims = present;
+  report->missing_dims.clear();
+  for (ResourceDim dim : expected) {
+    if (std::find(present.begin(), present.end(), dim) == present.end()) {
+      report->missing_dims.push_back(dim);
+    }
+  }
+  report->degraded = !report->missing_dims.empty();
+  report->confidence_penalty =
+      expected.empty() ? 0.0
+                       : static_cast<double>(report->missing_dims.size()) /
+                             static_cast<double>(expected.size());
+  if (report->degraded) {
+    report->Add(DefectClass::kMissingDimension,
+                static_cast<int>(report->missing_dims.size()),
+                /*repaired=*/false,
+                "assessment narrowed to collected dimensions; missing: " +
+                    DimNames(report->missing_dims));
+  }
+}
+
+StatusOr<GatedTrace> GateTraceCsv(const CsvTable& table,
+                                  const GateOptions& options) {
+  TraceColumns columns;
+  CsvFields fields(table.header().begin(), table.header().end());
+  columns.SetHeader(fields, table.num_rows());
+  for (std::size_t r = 0; r < table.num_rows(); ++r) {
+    fields.assign(table.row(r).begin(), table.row(r).end());
+    columns.AddRow(fields);
+  }
+  return GateColumns(std::move(columns), options);
 }
 
 StatusOr<GatedTrace> GateTrace(const PerfTrace& trace,
@@ -568,11 +619,6 @@ StatusOr<GatedTrace> GateTrace(const PerfTrace& trace,
       }
       InterpolateMissing(&values, &ok);
       if (AllZero(values)) {
-        if (strict) {
-          return FailedPreconditionError(
-              std::string("dead (constant-zero) counter: ") +
-              catalog::ResourceDimName(dim));
-        }
         gated.report.Add(DefectClass::kDeadCounter,
                          static_cast<int>(values.size()), /*repaired=*/true,
                          std::string("constant-zero counter '") +
@@ -600,29 +646,24 @@ StatusOr<GatedTrace> GateTrace(const PerfTrace& trace,
         "every collected counter was dead or non-finite; nothing to assess");
   }
 
-  AssessDegradedMode(kept_dims, options.expected_dims, &gated.report);
-  if (strict && gated.report.degraded) {
-    std::string names;
-    for (ResourceDim dim : gated.report.missing_dims) {
-      if (!names.empty()) names += ", ";
-      names += catalog::ResourceDimName(dim);
-    }
-    return FailedPreconditionError("expected dimensions missing: " + names);
-  }
-
-  gated.trace = std::move(cleaned);
-  RecordGateMetrics(gated.report);
-  return gated;
+  return FinishGate(std::move(gated), std::move(cleaned), kept_dims, options);
 }
 
 StatusOr<GatedTrace> ReadTraceFileGated(const std::string& path,
                                         const GateOptions& options) {
-  CsvTable table;
+  TraceColumns columns;
   {
     DOPPLER_TRACE_SPAN("telemetry.read");
-    DOPPLER_ASSIGN_OR_RETURN(table, CsvTable::ReadFile(path));
+    DOPPLER_ASSIGN_OR_RETURN(const std::string text, ReadTextFile(path));
+    DOPPLER_RETURN_IF_ERROR(SplitCsv(
+        text,
+        [&](const CsvFields& header) {
+          columns.SetHeader(header, static_cast<std::size_t>(std::count(
+                                        text.begin(), text.end(), '\n')));
+        },
+        [&](const CsvFields& fields) { columns.AddRow(fields); }));
   }
-  return GateTraceCsv(table, options);
+  return GateColumns(std::move(columns), options);
 }
 
 }  // namespace doppler::quality

@@ -67,7 +67,8 @@ StatusOr<GatedTrace> GateTrace(const telemetry::PerfTrace& trace,
                                const GateOptions& options);
 
 /// Reads a trace CSV file through the gate (the CLI's ingestion path). The
-/// read is traced as `telemetry.read`, the gate as `quality.gate_csv`.
+/// read (one bulk read, split and parsed straight into columns) is traced
+/// as `telemetry.read`, the gate on those columns as `quality.gate_csv`.
 StatusOr<GatedTrace> ReadTraceFileGated(const std::string& path,
                                         const GateOptions& options);
 

@@ -1,38 +1,10 @@
 #include "sources/counter_mapping.h"
 
-#include <cmath>
-#include <cstdlib>
 #include <map>
 
-#include "util/string_util.h"
+#include "telemetry/trace_io.h"
 
 namespace doppler::sources {
-
-namespace {
-
-// Foreign exports carry physical counters, so a cell must be a finite
-// number; "nan"/"inf" parse under strtod and are rejected here.
-StatusOr<double> ParseNumber(const std::string& text, const std::string& where) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || !Trim(end).empty()) {
-    return InvalidArgumentError("not a number at " + where + ": '" + text +
-                                "'");
-  }
-  if (!std::isfinite(value)) {
-    return InvalidArgumentError("non-finite value at " + where + ": '" + text +
-                                "'");
-  }
-  return value;
-}
-
-std::string CellContext(const std::string& source, std::size_t row,
-                        const std::string& column) {
-  return source + " data row " + std::to_string(row + 1) + ", column '" +
-         column + "'";
-}
-
-}  // namespace
 
 StatusOr<telemetry::PerfTrace> TraceFromForeignCsv(
     const CsvTable& table, const CounterMapping& mapping) {
@@ -45,23 +17,13 @@ StatusOr<telemetry::PerfTrace> TraceFromForeignCsv(
     return InvalidArgumentError(mapping.source_name + " export is empty");
   }
 
-  // Every timestamp must increase (DMA default cadence for single-row
-  // exports; otherwise the first delta).
-  std::int64_t interval = telemetry::kDmaIntervalSeconds;
-  double previous_t = 0.0;
-  for (std::size_t r = 0; r < table.num_rows(); ++r) {
-    DOPPLER_ASSIGN_OR_RETURN(
-        double t,
-        ParseNumber(table.row(r)[time_col],
-                    CellContext(mapping.source_name, r, mapping.time_column)));
-    if (r > 0 && t <= previous_t) {
-      return InvalidArgumentError(
-          mapping.source_name + ": timestamps must increase (violated at " +
-          CellContext(mapping.source_name, r, mapping.time_column) + ")");
-    }
-    if (r == 1) interval = static_cast<std::int64_t>(t - previous_t);
-    previous_t = t;
-  }
+  // Every timestamp must increase by a whole-second cadence (DMA default
+  // cadence for single-row exports; otherwise the first delta).
+  DOPPLER_ASSIGN_OR_RETURN(
+      const std::int64_t interval,
+      telemetry::StrictCadence(table, time_col, mapping.source_name,
+                               mapping.source_name +
+                                   ": timestamps must increase"));
 
   // Accumulate rule columns into per-dimension series.
   std::map<catalog::ResourceDim, std::vector<double>> series;
@@ -71,14 +33,15 @@ StatusOr<telemetry::PerfTrace> TraceFromForeignCsv(
     auto& values = series[rule.dim];
     if (values.empty()) values.assign(table.num_rows(), 0.0);
     for (std::size_t r = 0; r < table.num_rows(); ++r) {
+      // Foreign exports carry physical counters: finite and non-negative.
       DOPPLER_ASSIGN_OR_RETURN(
-          double v, ParseNumber(table.row(r)[column],
-                                CellContext(mapping.source_name, r,
-                                            rule.column)));
+          const double v, telemetry::ParseStrictCell(table.row(r)[column],
+                                                     mapping.source_name, r,
+                                                     rule.column));
       if (v < 0.0) {
         return InvalidArgumentError(
             "negative counter at " +
-            CellContext(mapping.source_name, r, rule.column));
+            telemetry::CellName(mapping.source_name, r, rule.column));
       }
       values[r] += v * rule.unit_scale;
     }

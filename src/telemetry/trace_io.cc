@@ -1,8 +1,5 @@
 #include "telemetry/trace_io.h"
 
-#include <cmath>
-#include <cstdlib>
-
 #include "util/string_util.h"
 
 namespace doppler::telemetry {
@@ -27,56 +24,65 @@ CsvTable TraceToCsv(const PerfTrace& trace) {
   return table;
 }
 
-namespace {
-
-// `strtod` happily parses "nan" and "inf", so finiteness is checked here
-// rather than in the parse itself; `context` names the offending cell.
-StatusOr<double> ParseNumber(const std::string& text,
-                             const std::string& context) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || !Trim(end).empty()) {
-    return InvalidArgumentError("not a number at " + context + ": '" + text +
-                                "'");
-  }
-  if (!std::isfinite(value)) {
-    return InvalidArgumentError("non-finite value at " + context + ": '" +
-                                text + "'");
-  }
-  return value;
+std::string CellName(std::string_view source, std::size_t row,
+                     std::string_view column) {
+  std::string name(source);
+  if (!name.empty()) name += " ";
+  return name + "data row " + std::to_string(row + 1) + ", column '" +
+         std::string(column) + "'";
 }
 
-std::string CellContext(std::size_t row, const std::string& column) {
-  return "data row " + std::to_string(row + 1) + ", column '" + column + "'";
+StatusOr<double> ParseStrictCell(std::string_view text,
+                                 std::string_view source, std::size_t row,
+                                 std::string_view column) {
+  const ParsedCell cell = ParseCell(text);
+  if (cell.cls == CellClass::kMalformed) {
+    return InvalidArgumentError("not a number at " +
+                                CellName(source, row, column) + ": '" +
+                                std::string(text) + "'");
+  }
+  if (cell.cls == CellClass::kNonFinite) {
+    return InvalidArgumentError("non-finite value at " +
+                                CellName(source, row, column) + ": '" +
+                                std::string(text) + "'");
+  }
+  return cell.value;
 }
 
-}  // namespace
-
-StatusOr<PerfTrace> TraceFromCsv(const CsvTable& table) {
-  DOPPLER_ASSIGN_OR_RETURN(std::size_t time_col, table.ColumnIndex("t_seconds"));
-
-  // Every timestamp must be finite and strictly increasing; the cadence is
-  // the first delta.
+StatusOr<std::int64_t> StrictCadence(const CsvTable& table,
+                                     std::size_t time_col,
+                                     std::string_view source,
+                                     const std::string& rule) {
+  const std::string& column = table.header()[time_col];
   std::int64_t interval = kDmaIntervalSeconds;
-  double previous_t = 0.0;
+  double previous = 0.0;
   for (std::size_t r = 0; r < table.num_rows(); ++r) {
     DOPPLER_ASSIGN_OR_RETURN(
-        double t, ParseNumber(table.row(r)[time_col],
-                              CellContext(r, "t_seconds")));
-    if (r > 0 && t <= previous_t) {
-      return InvalidArgumentError(
-          "t_seconds must be strictly increasing (violated at " +
-          CellContext(r, "t_seconds") + ")");
+        const double t,
+        ParseStrictCell(table.row(r)[time_col], source, r, column));
+    if (r > 0 && t <= previous) {
+      return InvalidArgumentError(rule + " (violated at " +
+                                  CellName(source, r, column) + ")");
     }
     if (r == 1) {
-      const auto delta = static_cast<std::int64_t>(t - previous_t);
-      if (delta <= 0) {
-        return InvalidArgumentError("t_seconds must be strictly increasing");
+      const double delta = t - previous;
+      if (!(delta < 0x1p63) || static_cast<std::int64_t>(delta) <= 0) {
+        return InvalidArgumentError(rule);
       }
-      interval = delta;
+      interval = static_cast<std::int64_t>(delta);
     }
-    previous_t = t;
+    previous = t;
   }
+  return interval;
+}
+
+StatusOr<PerfTrace> TraceFromCsv(const CsvTable& table) {
+  DOPPLER_ASSIGN_OR_RETURN(const std::size_t time_col,
+                           table.ColumnIndex("t_seconds"));
+  DOPPLER_ASSIGN_OR_RETURN(
+      const std::int64_t interval,
+      StrictCadence(table, time_col, "",
+                    "t_seconds must be strictly increasing"));
 
   PerfTrace trace(interval);
   for (std::size_t c = 0; c < table.num_columns(); ++c) {
@@ -87,8 +93,7 @@ StatusOr<PerfTrace> TraceFromCsv(const CsvTable& table) {
     values.reserve(table.num_rows());
     for (std::size_t r = 0; r < table.num_rows(); ++r) {
       DOPPLER_ASSIGN_OR_RETURN(
-          double v,
-          ParseNumber(table.row(r)[c], CellContext(r, table.header()[c])));
+          double v, ParseStrictCell(table.row(r)[c], "", r, table.header()[c]));
       values.push_back(v);
     }
     DOPPLER_RETURN_IF_ERROR(trace.SetSeries(dim, std::move(values)));

@@ -1,13 +1,46 @@
 #ifndef DOPPLER_UTIL_CSV_H_
 #define DOPPLER_UTIL_CSV_H_
 
+#include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
 #include "util/statusor.h"
 
 namespace doppler {
+
+/// What a CSV cell holds as a number.
+enum class CellClass : std::uint8_t { kOk, kMalformed, kNonFinite, kNegative };
+
+struct ParsedCell {
+  /// NaN when the cell is malformed.
+  double value;
+  CellClass cls;
+};
+
+/// The one number rule for CSV cells (trace counters and timestamps, and
+/// the static catalog, profile and layout files). A NUL ends the cell, as
+/// it ends a C string; blanks around the number are ignored. The number is
+/// read as C `strtod` reads it, so a leading '+', hex floats and
+/// inf/nan spellings are numbers, overflow reads as +-inf (non-finite) and
+/// underflow as 0. Plain decimals take a locale-free `std::from_chars`
+/// fast path that reads the same bits.
+ParsedCell ParseCell(std::string_view text);
+
+/// The fields of one CSV line, viewing the text they were split from.
+using CsvFields = std::vector<std::string_view>;
+
+/// The one CSV splitter. Lines end at '\n' and lose one trailing '\r', so
+/// CRLF files read like LF files; empty lines are skipped; fields split at
+/// ',' with empty ones kept. Calls `on_header` for the first line, then
+/// `on_row` for every data line. INVALID_ARGUMENT for an empty document or
+/// a row whose width differs from the header's.
+Status SplitCsv(std::string_view text,
+                const std::function<void(const CsvFields&)>& on_header,
+                const std::function<void(const CsvFields&)>& on_row);
 
 /// In-memory CSV document: a header row plus data rows of equal width.
 /// Used for persisting perf traces, assessment results and experiment
@@ -42,10 +75,10 @@ class CsvTable {
   /// concurrent reader never sees a torn file; UNAVAILABLE on IO errors.
   Status WriteFile(const std::string& path) const;
 
-  /// Parses CSV text (first line is the header).
-  static StatusOr<CsvTable> Parse(const std::string& text);
+  /// Parses CSV text (first line is the header) with SplitCsv.
+  static StatusOr<CsvTable> Parse(std::string_view text);
 
-  /// Reads and parses the file at `path`.
+  /// Reads the file at `path` (ReadTextFile) and parses it.
   static StatusOr<CsvTable> ReadFile(const std::string& path);
 
  private:

@@ -1,6 +1,7 @@
 #include "util/file_util.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -41,6 +42,25 @@ Status WriteTextFileAtomic(const std::string& path,
     return UnavailableError("rename '" + tmp + "' -> '" + path + "' failed");
   }
   return OkStatus();
+}
+
+StatusOr<std::string> ReadTextFile(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return UnavailableError("cannot open '" + path + "'");
+  std::string text;
+  struct ::stat info;
+  if (::fstat(fd, &info) == 0 && S_ISREG(info.st_mode)) {
+    text.resize(static_cast<std::size_t>(info.st_size));
+    std::size_t done = 0;
+    ::ssize_t n = 1;
+    while (n > 0 && done < text.size()) {
+      n = ::read(fd, text.data() + done, text.size() - done);
+      if (n > 0) done += static_cast<std::size_t>(n);
+    }
+    text.resize(done);
+  }
+  ::close(fd);
+  return text;
 }
 
 }  // namespace doppler

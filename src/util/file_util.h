@@ -4,6 +4,7 @@
 #include <string>
 
 #include "util/status.h"
+#include "util/statusor.h"
 
 namespace doppler {
 
@@ -17,6 +18,11 @@ namespace doppler {
 /// UNAVAILABLE on I/O failure, with no temp file left behind.
 Status WriteTextFileAtomic(const std::string& path,
                            const std::string& content);
+
+/// The whole of the file at `path`, sized by fstat(2) on the open file and
+/// read in one go. UNAVAILABLE when it cannot be opened; a directory or
+/// other non-regular file reads as empty.
+StatusOr<std::string> ReadTextFile(const std::string& path);
 
 }  // namespace doppler
 

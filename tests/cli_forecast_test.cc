@@ -21,6 +21,7 @@
 #include "obs/metrics.h"
 #include "telemetry/trace_io.h"
 #include "util/csv.h"
+#include "util/file_util.h"
 #include "util/random.h"
 #include "util/string_util.h"
 #include "workload/generator.h"
@@ -596,6 +597,109 @@ TEST_F(CliFlowTest, BadFlagValuesSurfaceErrors) {
   EXPECT_EQ(dma::CliMain({"fit-profiles", "--deployment", "oracle"},
                          bad_deployment),
             3);
+}
+
+// Static inputs hold limits, prices and probabilities: a non-finite number
+// fails the load with a typed status instead of steering the pick.
+TEST_F(CliFlowTest, NonFiniteStaticInputsRejectedAtLoad) {
+  ASSERT_TRUE(WriteTextFileAtomic(TempPath("cli_nan_prof.csv"),
+                                  "group_id,count,mean_probability,"
+                                  "std_probability\n-1,0,0.05,0\n"
+                                  "1,2,nan,0.01\n")
+                  .ok());
+  std::ostringstream profiles;
+  EXPECT_EQ(dma::CliMain({"assess", "--trace", TempPath("cli_trace.csv"),
+                          "--profiles", TempPath("cli_nan_prof.csv")},
+                         profiles),
+            3)
+      << profiles.str();
+  EXPECT_NE(profiles.str().find("not a finite number: 'nan'"),
+            std::string::npos);
+
+  std::ostringstream dump;
+  ASSERT_EQ(dma::CliMain({"catalog", "--out", TempPath("cli_nan_skus.csv")},
+                         dump),
+            0);
+  StatusOr<CsvTable> skus = CsvTable::ReadFile(TempPath("cli_nan_skus.csv"));
+  ASSERT_TRUE(skus.ok());
+  CsvTable priced(skus->header());
+  const std::size_t price = *skus->ColumnIndex("price_per_hour");
+  for (std::size_t r = 0; r < skus->num_rows(); ++r) {
+    std::vector<std::string> row = skus->row(r);
+    if (row[0] == "DB_GP_Gen5_2") row[price] = "nan";
+    ASSERT_TRUE(priced.AddRow(std::move(row)).ok());
+  }
+  ASSERT_TRUE(priced.WriteFile(TempPath("cli_nan_skus.csv")).ok());
+  std::ostringstream catalog;
+  EXPECT_EQ(dma::CliMain({"assess", "--trace", TempPath("cli_trace.csv"),
+                          "--catalog", TempPath("cli_nan_skus.csv")},
+                         catalog),
+            3)
+      << catalog.str();
+
+  ASSERT_TRUE(WriteTextFileAtomic(TempPath("cli_nan_layout.csv"),
+                                  "name,size_gib\ndata0.mdf,nan\n")
+                  .ok());
+  std::ostringstream layout;
+  EXPECT_EQ(dma::CliMain({"assess", "--trace", TempPath("cli_trace.csv"),
+                          "--target", "mi", "--layout",
+                          TempPath("cli_nan_layout.csv")},
+                         layout),
+            3)
+      << layout.str();
+}
+
+// A trace gated at ingest is not gated again in the pipeline, so the
+// record-only policy counts each defect once, as repair does.
+TEST_F(CliFlowTest, PermissiveCountsEachDefectOnce) {
+  CsvTable dirty({"t_seconds", "cpu", "memory", "iops", "log_rate"});
+  for (int i = 0; i < 300; ++i) {
+    (void)dirty.AddRow({std::to_string(i * 600),
+                        i == 50 ? "-1.5" : FormatDouble(0.5 + 0.1 * (i % 7), 2),
+                        i == 100 ? "nan" : "4.0",
+                        i == 150 ? "abc" : FormatDouble(100.0 + i % 5, 1),
+                        "2.0"});
+  }
+  ASSERT_TRUE(dirty.WriteFile(TempPath("cli_dirty3.csv")).ok());
+  const auto quality = [](const std::string& policy) {
+    std::ostringstream out;
+    EXPECT_EQ(dma::CliMain({"assess", "--trace", TempPath("cli_dirty3.csv"),
+                            "--quality", policy, "--json"},
+                           out),
+              0)
+        << out.str();
+    const std::string json = out.str();
+    const std::size_t begin = json.find("\"quality\":{");
+    return begin == std::string::npos
+               ? json
+               : json.substr(begin, json.find('}', json.find("\"summary\"",
+                                                             begin)) -
+                                        begin + 1);
+  };
+  EXPECT_EQ(quality("permissive"),
+            "\"quality\":{\"policy\":\"permissive\",\"clean\":false,"
+            "\"total_defects\":3,\"repaired_defects\":0,\"samples_in\":300,"
+            "\"samples_out\":300,\"defects\":["
+            "{\"class\":\"negative\",\"count\":1,\"repaired\":false,"
+            "\"detail\":\"negative counters kept\"},"
+            "{\"class\":\"non_finite\",\"count\":1,\"repaired\":false,"
+            "\"detail\":\"NaN/Inf cells kept\"},"
+            "{\"class\":\"malformed_cell\",\"count\":1,\"repaired\":false,"
+            "\"detail\":\"unparseable cells carried as NaN\"}],"
+            "\"degraded\":false,\"summary\":\"3 defects (0 repaired): "
+            "negative x1, non_finite x1, malformed_cell x1\"}");
+  EXPECT_EQ(quality("repair"),
+            "\"quality\":{\"policy\":\"repair\",\"clean\":false,"
+            "\"total_defects\":3,\"repaired_defects\":3,\"samples_in\":300,"
+            "\"samples_out\":300,\"defects\":["
+            "{\"class\":\"negative\",\"count\":1,\"repaired\":true,"
+            "\"detail\":\"negative counters clamped to 0\"},"
+            "{\"class\":\"non_finite\",\"count\":1,\"repaired\":true,"
+            "\"detail\":\"NaN/Inf cells interpolated\"},"
+            "{\"class\":\"malformed_cell\",\"count\":1,\"repaired\":true,"
+            "\"detail\":\"unparseable cells interpolated\"}],"
+            "\"degraded\":false,\"summary\":\"3 defects (3 repaired): "
+            "negative x1, non_finite x1, malformed_cell x1\"}");
 }
 
 // ------------------------------------------------ Typed exit codes.

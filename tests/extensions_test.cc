@@ -547,6 +547,24 @@ TEST(SourcesTest, RejectsMalformedExports) {
   EXPECT_FALSE(sources::TraceFromForeignCsv(AwrCsv(), empty_mapping).ok());
 }
 
+// The adapters share TraceFromCsv's timestamp rule: the cadence is the
+// first delta in whole seconds, so rows half a second apart (no whole-
+// second cadence) and rows 1e300 s apart (no int64 cadence) are rejected,
+// not read as a 0-second or wrapped cadence.
+TEST(SourcesTest, ExportsWithoutAWholeSecondCadenceRejected) {
+  for (const char* second : {"0.5", "1e300"}) {
+    SCOPED_TRACE(second);
+    CsvTable table({"t_seconds", "cpu_per_s", "physical_reads_per_s",
+                    "physical_writes_per_s", "redo_mb_per_s", "sga_pga_gb",
+                    "db_file_seq_read_ms", "db_size_gb"});
+    ASSERT_TRUE(table.AddRow({"0", "1", "1", "1", "1", "1", "1", "1"}).ok());
+    ASSERT_TRUE(table.AddRow({second, "1", "1", "1", "1", "1", "1", "1"}).ok());
+    const Status status = sources::TraceFromAwrCsv(table).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(), "oracle-awr: timestamps must increase");
+  }
+}
+
 TEST(SourcesTest, EmptyAndHeaderOnlyExportsRejectedNotCrashed) {
   // Entirely empty table: no columns, no rows.
   EXPECT_FALSE(sources::TraceFromAwrCsv(CsvTable()).ok());

@@ -331,6 +331,54 @@ TEST_F(GoldenReportTest, CliDefaultPathMatchesGolden) {
   CompareWithGolden("cli_default.jsonl", rendered);
 }
 
+// A CRLF copy of each example trace assesses exactly as the LF file does:
+// every line loses its '\r', so the last column ("storage\r") is still a
+// known dimension and its cells still numbers.
+TEST_F(GoldenReportTest, CrlfTracesAssessLikeTheirLfCopies) {
+  const std::regex seconds("\"seconds\":[-+.0-9eE]+");
+  const std::regex timings("Stage timings:[^\n]*");
+  const PrivateTempDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  for (const char* name : {"bursty_dw", "spiky_batch", "steady_oltp"}) {
+    SCOPED_TRACE(name);
+    StatusOr<std::string> lf = ReadFile(TracePath(name));
+    ASSERT_TRUE(lf.ok()) << lf.status().ToString();
+    std::string crlf;
+    for (char c : *lf) {
+      crlf += c == '\n' ? std::string("\r\n") : std::string(1, c);
+    }
+    const std::string lf_path = dir.path() + "/" + name + ".csv";
+    const std::string crlf_path = dir.path() + "/" + name + ".crlf.csv";
+    ASSERT_TRUE(WriteFile(lf_path, *lf).ok());
+    ASSERT_TRUE(WriteFile(crlf_path, crlf).ok());
+    for (const std::vector<std::string>& flags :
+         std::vector<std::vector<std::string>>{
+             {"--json"}, {"--target", "mi", "--json"}, {}}) {
+      std::vector<std::string> lf_args = {"assess", "--trace", lf_path};
+      std::vector<std::string> crlf_args = {"assess", "--trace", crlf_path};
+      lf_args.insert(lf_args.end(), flags.begin(), flags.end());
+      crlf_args.insert(crlf_args.end(), flags.begin(), flags.end());
+      std::ostringstream lf_out;
+      std::ostringstream crlf_out;
+      ASSERT_EQ(dma::CliMain(lf_args, lf_out), 0) << lf_out.str();
+      ASSERT_EQ(dma::CliMain(crlf_args, crlf_out), 0) << crlf_out.str();
+      // Only the customer id (the trace path) and the stage timings may
+      // differ.
+      std::string report = crlf_out.str();
+      for (std::size_t at = report.find(crlf_path); at != std::string::npos;
+           at = report.find(crlf_path, at)) {
+        report.replace(at, crlf_path.size(), lf_path);
+      }
+      const auto timeless = [&](const std::string& text) {
+        return std::regex_replace(
+            std::regex_replace(text, seconds, "\"seconds\":0"), timings,
+            "Stage timings:");
+      };
+      EXPECT_EQ(timeless(report), timeless(lf_out.str()));
+    }
+  }
+}
+
 // `line` with its comma-separated cell `column` replaced by `cell`.
 std::string WithCell(const std::string& line, std::size_t column,
                      const std::string& cell) {

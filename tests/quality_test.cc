@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <fstream>
 #include <limits>
 
@@ -15,6 +17,7 @@
 #include "quality/quality_gate.h"
 #include "sim/fault_injector.h"
 #include "telemetry/trace_io.h"
+#include "util/file_util.h"
 #include "util/string_util.h"
 #include "workload/generator.h"
 #include "workload/population.h"
@@ -342,6 +345,167 @@ TEST(GateTraceCsvTest, CadenceDriftDetected) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+}
+
+// A timestamp far beyond the grid is rejected under every policy: its slot
+// does not fit, so it can neither be bridged nor counted as a gap, and it
+// must not wrap onto an earlier slot and overwrite that sample.
+TEST(GateTraceCsvTest, TimestampBeyondTheGridRejectedUnderEveryPolicy) {
+  CsvTable table = CleanTable(300);
+  (void)table.AddRow({"1e300", "77", "4.0"});
+  for (QualityPolicy policy :
+       {QualityPolicy::kStrict, QualityPolicy::kRepair,
+        QualityPolicy::kPermissive}) {
+    SCOPED_TRACE(QualityPolicyName(policy));
+    const Status status = GateTraceCsv(table, Policy(policy)).status();
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(status.message(),
+              "timestamp 1e+300 lies beyond any cadence grid; trace "
+              "rejected rather than invented");
+  }
+
+  // Rows spaced further apart than any int64 cadence: the same.
+  CsvTable sparse({"t_seconds", "cpu", "memory"});
+  for (const char* t : {"0", "1e19", "2e19"}) {
+    (void)sparse.AddRow({t, "1.0", "4.0"});
+  }
+  EXPECT_EQ(GateTraceCsv(sparse, Policy(QualityPolicy::kRepair))
+                .status()
+                .message(),
+            "timestamp 2e+19 lies beyond any cadence grid; trace rejected "
+            "rather than invented");
+
+  // A slot that fits but lies past the repair limit is the usual gap.
+  CsvTable far = CleanTable(10);
+  (void)far.AddRow({"6e11", "1.0", "4.0"});
+  const Status gap = GateTraceCsv(far, Policy(QualityPolicy::kRepair)).status();
+  EXPECT_EQ(gap.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(gap.message().find("exceeds the 48-sample repair limit"),
+            std::string::npos);
+}
+
+// ------------------------------------------ CSV gate: the input contract.
+//
+// What each kind of cell text means to the gate: the defect class, the
+// value the series carries under repair and under permissive (bitwise),
+// and the strict-mode message. These pin the number rule itself, so a
+// reader built on another parser cannot pass them by accident.
+
+constexpr std::uint64_t kPositiveNanBits = 0x7ff8000000000000ULL;
+constexpr std::uint64_t kNegativeNanBits = 0xfff8000000000000ULL;
+constexpr std::uint64_t kPositiveInfBits = 0x7ff0000000000000ULL;
+constexpr std::uint64_t kNegativeInfBits = 0xfff0000000000000ULL;
+
+std::uint64_t Bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+struct CellPin {
+  std::string cell;
+  /// Empty when the cell is an ok number.
+  std::string defect;
+  std::uint64_t repaired_bits;
+  std::uint64_t permissive_bits;
+  /// Empty when strict accepts the cell.
+  std::string strict_message;
+};
+
+std::vector<CellPin> CellPins() {
+  const std::uint64_t interpolated = Bits(3.0);  // Between 2.0 and 4.0.
+  return {
+      {"  1.5", "", Bits(1.5), Bits(1.5), ""},
+      {"+1.5", "", Bits(1.5), Bits(1.5), ""},
+      {"0x1p3", "", Bits(8.0), Bits(8.0), ""},
+      {"1e400", "non_finite", interpolated, kPositiveInfBits,
+       "non-finite value at data row 3, column 'cpu'"},
+      {"-1e400", "non_finite", interpolated, kNegativeInfBits,
+       "non-finite value at data row 3, column 'cpu'"},
+      {"1e-400", "", Bits(0.0), Bits(0.0), ""},
+      {"nan", "non_finite", interpolated, kPositiveNanBits,
+       "non-finite value at data row 3, column 'cpu'"},
+      {"-nan", "non_finite", interpolated, kNegativeNanBits,
+       "non-finite value at data row 3, column 'cpu'"},
+      {"inf", "non_finite", interpolated, kPositiveInfBits,
+       "non-finite value at data row 3, column 'cpu'"},
+      {"", "malformed_cell", interpolated, kPositiveNanBits,
+       "not a number at data row 3, column 'cpu': ''"},
+      // A NUL ends the cell: what follows it is never read.
+      {std::string("1.5\0junk", 8), "", Bits(1.5), Bits(1.5), ""},
+  };
+}
+
+// Six clean rows at the DMA cadence (cpu 1, 2, ..., 6) with the cpu cell
+// of data row 3 replaced by `cell`.
+CsvTable TableWithCpuCell(const std::string& cell) {
+  CsvTable table({"t_seconds", "cpu", "memory"});
+  for (int i = 0; i < 6; ++i) {
+    (void)table.AddRow({std::to_string(i * telemetry::kDmaIntervalSeconds),
+                        i == 2 ? cell : FormatDouble(1.0 + i, 1), "4.0"});
+  }
+  return table;
+}
+
+TEST(GateTraceCsvTest, CellTextPinsClassValueAndStrictMessage) {
+  for (const CellPin& pin : CellPins()) {
+    SCOPED_TRACE("cell '" + pin.cell + "'");
+    const CsvTable table = TableWithCpuCell(pin.cell);
+
+    StatusOr<GatedTrace> repaired =
+        GateTraceCsv(table, Policy(QualityPolicy::kRepair));
+    ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+    if (pin.defect.empty()) {
+      EXPECT_TRUE(repaired->report.clean()) << repaired->report.Summary();
+    } else {
+      ASSERT_EQ(repaired->report.defects.size(), 1u);
+      EXPECT_EQ(DefectClassName(repaired->report.defects[0].defect),
+                pin.defect);
+      EXPECT_EQ(repaired->report.defects[0].count, 1);
+      EXPECT_TRUE(repaired->report.defects[0].repaired);
+    }
+    ASSERT_EQ(repaired->trace.num_samples(), 6u);
+    EXPECT_EQ(Bits(repaired->trace.Values(ResourceDim::kCpu)[2]),
+              pin.repaired_bits);
+
+    StatusOr<GatedTrace> permissive =
+        GateTraceCsv(table, Policy(QualityPolicy::kPermissive));
+    ASSERT_TRUE(permissive.ok()) << permissive.status().ToString();
+    EXPECT_EQ(Bits(permissive->trace.Values(ResourceDim::kCpu)[2]),
+              pin.permissive_bits);
+
+    const Status strict =
+        GateTraceCsv(table, Policy(QualityPolicy::kStrict)).status();
+    if (pin.strict_message.empty()) {
+      EXPECT_TRUE(strict.ok()) << strict.ToString();
+    } else {
+      EXPECT_EQ(strict.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(strict.message(), pin.strict_message);
+    }
+  }
+}
+
+// The gated file reader: a ragged row fails the whole file, a blank last
+// line is no row at all.
+TEST(GateTraceCsvTest, FileShapePins) {
+  const PrivateTempDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string path = dir.path() + "/shape.csv";
+  const std::string clean = TableWithCpuCell("3.0").ToString();
+
+  ASSERT_TRUE(WriteTextFileAtomic(path, clean + "\n").ok());
+  StatusOr<GatedTrace> blank_last =
+      ReadTraceFileGated(path, Policy(QualityPolicy::kStrict));
+  ASSERT_TRUE(blank_last.ok()) << blank_last.status().ToString();
+  EXPECT_EQ(blank_last->report.samples_in, 6);
+  EXPECT_EQ(blank_last->trace.num_samples(), 6u);
+
+  std::string ragged = clean;
+  ragged.replace(ragged.find("1200,3.0,4.0"), 12, "1200,3.0");
+  ASSERT_TRUE(WriteTextFileAtomic(path, ragged).ok());
+  for (QualityPolicy policy :
+       {QualityPolicy::kStrict, QualityPolicy::kRepair,
+        QualityPolicy::kPermissive}) {
+    const Status status = ReadTraceFileGated(path, Policy(policy)).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(), "row width 2 != header width 3");
+  }
 }
 
 // ----------------------------------------------------- Degraded mode.

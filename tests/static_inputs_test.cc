@@ -65,6 +65,52 @@ TEST(StaticInputsTest, GroupModelRejectsMalformedCsv) {
   EXPECT_FALSE(dma::GroupModelFromCsv(empty).ok());
 }
 
+// Every number in a static input is finite, and an integer column holds
+// an integer that fits an int: nothing is truncated or wrapped.
+TEST(StaticInputsTest, NonFiniteAndNonIntegerCellsRejected) {
+  const auto group_model = [](const char* id, const char* count,
+                              const char* mean) {
+    CsvTable table({"group_id", "count", "mean_probability",
+                    "std_probability"});
+    EXPECT_TRUE(table.AddRow({"-1", "0", "0.05", "0"}).ok());
+    EXPECT_TRUE(table.AddRow({id, count, mean, "0.01"}).ok());
+    return dma::GroupModelFromCsv(table).status();
+  };
+  EXPECT_TRUE(group_model("1", "2", "0.07").ok());
+  EXPECT_EQ(group_model("1", "2", "nan").message(),
+            "not a finite number: 'nan'");
+  EXPECT_EQ(group_model("1", "2", "-inf").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(group_model("1.5", "2", "0.07").message(),
+            "not an int: '1.5'");
+  EXPECT_EQ(group_model("1", "3e9", "0.07").message(),
+            "not an int: '3e9'");
+
+  const CsvTable skus = dma::CatalogToCsv(catalog::BuildAzureLikeCatalog());
+  const auto with_cell = [&skus](const std::string& column,
+                                 const std::string& cell) {
+    CsvTable edited(skus.header());
+    const std::size_t c = *skus.ColumnIndex(column);
+    for (std::size_t r = 0; r < skus.num_rows(); ++r) {
+      std::vector<std::string> row = skus.row(r);
+      if (r == 0) row[c] = cell;
+      EXPECT_TRUE(edited.AddRow(std::move(row)).ok());
+    }
+    return dma::CatalogFromCsv(edited).status();
+  };
+  EXPECT_TRUE(with_cell("price_per_hour", "1.5").ok());
+  EXPECT_EQ(with_cell("price_per_hour", "nan").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(with_cell("max_iops", "inf").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(with_cell("vcores", "2.9").message(), "not an int: '2.9'");
+
+  CsvTable layout({"name", "size_gib"});
+  ASSERT_TRUE(layout.AddRow({"a.mdf", "nan"}).ok());
+  EXPECT_EQ(dma::LayoutFromCsv(layout).status().message(),
+            "not a finite number: 'nan'");
+}
+
 TEST(StaticInputsTest, FromStatsRejectsDuplicates) {
   core::GroupStats a;
   a.group_id = 2;

@@ -1,7 +1,9 @@
 // Unit tests for src/telemetry: traces, aggregation, the simulated
 // collector, and CSV IO.
 
+#include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -342,6 +344,99 @@ TEST(TraceIoTest, NonFiniteCellsRejectedWithRowContext) {
   const Status bad_time = TraceFromCsv(times).status();
   EXPECT_EQ(bad_time.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(bad_time.message().find("t_seconds"), std::string::npos);
+}
+
+// What each kind of cell text means to TraceFromCsv: the value it reads
+// (bitwise) or the exact message it fails with. Negative counters are the
+// quality gate's business; this strict reader carries them.
+TEST(TraceIoTest, CellTextPinsValueOrMessage) {
+  struct Pin {
+    std::string cell;
+    double value;
+    /// Empty when the cell reads as `value`.
+    std::string message;
+  };
+  const std::vector<Pin> pins = {
+      {"  1.5", 1.5, ""},
+      {"+1.5", 1.5, ""},
+      {"0x1p3", 8.0, ""},
+      {"1e400", 0.0, "non-finite value at data row 2, column 'cpu': '1e400'"},
+      {"-1e400", 0.0,
+       "non-finite value at data row 2, column 'cpu': '-1e400'"},
+      {"1e-400", 0.0, ""},
+      {"nan", 0.0, "non-finite value at data row 2, column 'cpu': 'nan'"},
+      {"-nan", 0.0, "non-finite value at data row 2, column 'cpu': '-nan'"},
+      {"inf", 0.0, "non-finite value at data row 2, column 'cpu': 'inf'"},
+      {"", 0.0, "not a number at data row 2, column 'cpu': ''"},
+      {"-2", -2.0, ""},
+      // A NUL ends the cell: what follows it is never read.
+      {std::string("1.5\0junk", 8), 1.5, ""},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE("cell '" + pin.cell + "'");
+    CsvTable table({"t_seconds", "cpu"});
+    ASSERT_TRUE(table.AddRow({"0", "1.0"}).ok());
+    ASSERT_TRUE(table.AddRow({"600", pin.cell}).ok());
+    ASSERT_TRUE(table.AddRow({"1200", "3.0"}).ok());
+    StatusOr<PerfTrace> parsed = TraceFromCsv(table);
+    if (pin.message.empty()) {
+      EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+      if (!parsed.ok()) continue;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                    parsed->Values(ResourceDim::kCpu)[1]),
+                std::bit_cast<std::uint64_t>(pin.value));
+    } else {
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(parsed.status().message(), pin.message);
+    }
+  }
+}
+
+// The cadence is the first delta in whole seconds: a delta under a second,
+// or one beyond int64 (1e300 s), is no cadence.
+TEST(TraceIoTest, FirstDeltaWithoutAWholeSecondCadenceRejected) {
+  for (const char* second : {"0.5", "1e300"}) {
+    SCOPED_TRACE(second);
+    CsvTable table({"t_seconds", "cpu"});
+    ASSERT_TRUE(table.AddRow({"0", "1.0"}).ok());
+    ASSERT_TRUE(table.AddRow({second, "2.0"}).ok());
+    const Status status = TraceFromCsv(table).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(), "t_seconds must be strictly increasing");
+  }
+}
+
+// A CRLF document reads like its LF twin: every line loses its '\r'.
+TEST(TraceIoTest, CrlfDocumentReadsLikeLf) {
+  StatusOr<CsvTable> lf =
+      CsvTable::Parse("t_seconds,cpu,iops\n0,1.5,10\n600,2.5,20\n");
+  StatusOr<CsvTable> crlf = CsvTable::Parse(
+      "t_seconds,cpu,iops\r\n0,1.5,10\r\n\r\n600,2.5,20\r\n");
+  ASSERT_TRUE(lf.ok());
+  ASSERT_TRUE(crlf.ok()) << crlf.status().ToString();
+  EXPECT_EQ(crlf->header(), lf->header());
+  ASSERT_EQ(crlf->num_rows(), 2u);
+  EXPECT_EQ(crlf->row(1), lf->row(1));
+  StatusOr<PerfTrace> trace = TraceFromCsv(*crlf);
+  ASSERT_TRUE(trace.ok());
+  EXPECT_TRUE(trace->Has(ResourceDim::kIops));
+}
+
+// The text around the cells: a ragged row fails the whole document, a
+// blank last line is no row at all.
+TEST(TraceIoTest, DocumentShapePins) {
+  StatusOr<CsvTable> blank_last =
+      CsvTable::Parse("t_seconds,cpu\n0,1.0\n600,2.0\n\n");
+  ASSERT_TRUE(blank_last.ok());
+  EXPECT_EQ(blank_last->num_rows(), 2u);
+  StatusOr<PerfTrace> parsed = TraceFromCsv(*blank_last);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->num_samples(), 2u);
+
+  const Status ragged =
+      CsvTable::Parse("t_seconds,cpu\n0,1.0\n600\n1200,3.0\n").status();
+  EXPECT_EQ(ragged.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ragged.message(), "row width 1 != header width 2");
 }
 
 }  // namespace

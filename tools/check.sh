@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Repo hygiene + sanitizer gate:
 #   1. fails if generated build trees are tracked by git,
-#   2. builds with AddressSanitizer + UBSan and runs the full tier-1 suite,
+#   2. builds with AddressSanitizer + UBSan (plus float-cast-overflow) and
+#      runs the full tier-1 suite, then the trace reader's differential
+#      fuzz over 20 more seed blocks,
 #   3. builds with ThreadSanitizer and runs the obs concurrency tests, the
 #      exec thread-pool / slot-runner / fleet determinism suite, the
 #      compiled-catalog / staged-pipeline suites (many workers reading the
@@ -111,8 +113,10 @@ if [[ "${tracked_build_files}" -ne 0 ]]; then
   exit 1
 fi
 
+# GCC leaves float-cast-overflow out of "undefined"; the trace reader casts
+# timestamps to grid slots and cadences, so it is named here.
 cmake -B "${build_dir}" -S "${repo_root}" \
-  -DDOPPLER_SANITIZE="address;undefined" \
+  -DDOPPLER_SANITIZE="address;undefined;float-cast-overflow" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "${build_dir}" -j"$(nproc)"
 
@@ -120,6 +124,10 @@ cmake --build "${build_dir}" -j"$(nproc)"
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 export ASAN_OPTIONS="detect_leaks=1"
 ctest --test-dir "${build_dir}" --output-on-failure -j"$(nproc)"
+
+# The trace reader's differential fuzz at a larger budget: tier-1 runs one
+# block of seeds, each repeat here runs the next block.
+"${build_dir}/tests/trace_reader_oracle_test" --gtest_repeat=20
 
 # Forced-scalar pass: the same kernel-touching suites with the dispatcher
 # pinned to the scalar reference (DOPPLER_KERNEL=scalar), so a host whose
